@@ -12,6 +12,8 @@ scheduling.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -56,10 +58,42 @@ def uniform_from_block(block: int) -> float:
     return ((block >> 11) + _U53_HALF) * _INV_2_53
 
 
-def mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _NP_30)) * _NP_MIX_A
-    z = (z ^ (z >> _NP_27)) * _NP_MIX_B
-    return z ^ (z >> _NP_31)
+def mix64_np(
+    z: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Vectorized :func:`mix64`.
+
+    ``out`` (which may be ``z`` itself) receives the result and ``scratch``
+    holds the shifted terms; given both, no array is allocated.
+    """
+    if out is None:
+        out = np.empty_like(z)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    np.right_shift(z, _NP_30, out=scratch)
+    np.bitwise_xor(z, scratch, out=out)
+    np.multiply(out, _NP_MIX_A, out=out)
+    np.right_shift(out, _NP_27, out=scratch)
+    np.bitwise_xor(out, scratch, out=out)
+    np.multiply(out, _NP_MIX_B, out=out)
+    np.right_shift(out, _NP_31, out=scratch)
+    np.bitwise_xor(out, scratch, out=out)
+    return out
+
+
+def _uniforms_from_blocks_np(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`uniform_from_block` into ``out``; ``blocks`` is overwritten.
+
+    ``blocks >> 11`` is below 2^53, so converting it through an int64 view
+    gives the same double as converting the uint64, and converts faster.
+    """
+    np.right_shift(blocks, _NP_11, out=blocks)
+    np.copyto(out, blocks.view(np.int64), casting="unsafe")
+    np.add(out, _U53_HALF, out=out)
+    np.multiply(out, _INV_2_53, out=out)
+    return out
 
 
 def stream_keys_np(master_seed: int, stream_indices: np.ndarray) -> np.ndarray:
@@ -71,13 +105,47 @@ def stream_keys_np(master_seed: int, stream_indices: np.ndarray) -> np.ndarray:
 
 def blocks_np(keys: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Vectorized :func:`block64`; ``keys`` and ``indices`` broadcast together."""
-    return mix64_np(keys + (indices.astype(np.uint64) + _NP_ONE) * _NP_GOLDEN)
+    z = keys + (indices.astype(np.uint64) + _NP_ONE) * _NP_GOLDEN
+    return mix64_np(z, out=z)
 
 
 def uniforms_np(keys: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Uniform doubles in (0, 1), one per (key, index) pair."""
     blocks = blocks_np(keys, indices)
-    return ((blocks >> _NP_11).astype(np.float64) + _U53_HALF) * _INV_2_53
+    return _uniforms_from_blocks_np(blocks, np.empty(blocks.shape, dtype=np.float64))
+
+
+class UniformLanes:
+    """In-place keyed uniforms for a fixed set of streams, one draw per lane per call.
+
+    Lane i holds the counter ``keys[i] + (j+1)*GOLDEN`` of its next block j,
+    advanced by one wrapping add per draw, so the j-th call of :meth:`draw`
+    returns ``uniforms_np(keys, j)`` without allocating.  :meth:`keep`
+    drops lanes; the kept lanes continue their own streams.
+    """
+
+    __slots__ = ("counter", "out", "_block", "_scratch")
+
+    def __init__(self, keys: np.ndarray):
+        self.counter = np.add(keys, _NP_GOLDEN, dtype=np.uint64)
+        n = len(self.counter)
+        self._block = np.empty(n, dtype=np.uint64)
+        self._scratch = np.empty(n, dtype=np.uint64)
+        self.out = np.empty(n, dtype=np.float64)
+
+    def draw(self) -> np.ndarray:
+        """The next uniform of every lane, in ``self.out`` (overwritten by the next call)."""
+        mix64_np(self.counter, out=self._block, scratch=self._scratch)
+        np.add(self.counter, _NP_GOLDEN, out=self.counter)
+        return _uniforms_from_blocks_np(self._block, self.out)
+
+    def keep(self, live: np.ndarray) -> None:
+        """Keep the lanes where the boolean mask ``live`` is true, in order."""
+        self.counter = self.counter[live]
+        n = len(self.counter)
+        self._block = self._block[:n]
+        self._scratch = self._scratch[:n]
+        self.out = self.out[:n]
 
 
 class BitSource:

@@ -511,6 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", type=str, default=None, help="output path stem")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
+
+    def add_config(p):
+        # only the subcommands that merge their settings through _merged take a file
         p.add_argument("--config", type=str, default=None, help="key=value config file")
 
     p_expand = sub.add_parser("expand", help="continued-fraction digit dump")
@@ -531,6 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--refine-cap", type=int, default=None)
     p_sim.add_argument("--source", choices=("sampled", "exact"), default=None)
     add_common(p_sim)
+    add_config(p_sim)
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_tail = sub.add_parser("tail", help="large-deviation tail table")
@@ -541,6 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tail.add_argument("--workers", type=int, default=None)
     p_tail.add_argument("--source", choices=("sampled", "exact"), default=None)
     add_common(p_tail)
+    add_config(p_tail)
     p_tail.set_defaults(fn=cmd_tail)
 
     p_op = sub.add_parser("operator", help="transfer-operator trace")

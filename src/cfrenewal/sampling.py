@@ -24,6 +24,16 @@ sampled from a single uniform.
 One 64-bit block of the trial's keyed bit stream is consumed per draw, so
 results are a pure function of (master_seed, stream_index) and independent
 of scheduling.
+
+The vectorized digit scans (:func:`digit_sum_crossings`, :func:`digit_sums_at`)
+run the chain r' = 1/(a + r) of many trials side by side in one in-place lane
+kernel, ``_DigitLanes``.  Its buffers are allocated once per call; each lane
+keeps its block counter ``key + (j+1)*GOLDEN`` and advances it by one
+wrapping add (:class:`~cfrenewal.bits.UniformLanes`), and every step applies
+the scalar sampler's operations in the scalar sampler's order.  So lane i
+reproduces :func:`sampled_digits` for its trial exactly, digit for digit,
+whatever the other lanes hold and however often retired lanes are compacted
+away.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bits import stream_key, stream_keys_np, uniform_from_block, block64, uniforms_np
+from .bits import UniformLanes, block64, stream_key, stream_keys_np, uniform_from_block, uniforms_np
 
 _CHUNK = 1 << 14
 
@@ -102,6 +112,48 @@ def orbit_checkpoints(
     return out
 
 
+class _DigitLanes:
+    """The digit chain r -> 1/(a + r) of many trials, advanced in place.
+
+    Lane i runs trial ``trial_indices[i]``: :meth:`step` draws its next
+    digit into ``a`` with exactly the arithmetic of :func:`sampled_digits`,
+    so every lane reproduces the scalar sampler digit for digit.  Buffers
+    are allocated once; :meth:`keep` drops retired lanes.
+    """
+
+    __slots__ = ("uniforms", "r", "f", "a")
+
+    def __init__(self, master_seed: int, trial_indices: np.ndarray):
+        self.uniforms = UniformLanes(stream_keys_np(master_seed, trial_indices))
+        n = len(trial_indices)
+        self.r = np.zeros(n, dtype=np.float64)
+        self.f = np.empty(n, dtype=np.float64)
+        self.a = np.empty(n, dtype=np.int64)
+
+    def step(self) -> np.ndarray:
+        """Draw one digit per lane; returns ``a`` (overwritten by the next step)."""
+        v = self.uniforms.draw()
+        r, f = self.r, self.f
+        # f = floor((1 + r (1 - v)) / v), evaluated in the scalar sampler's order
+        np.subtract(1.0, v, out=f)
+        np.multiply(r, f, out=f)
+        np.add(1.0, f, out=f)
+        np.divide(f, v, out=f)
+        np.floor(f, out=f)
+        np.copyto(self.a, f, casting="unsafe")
+        # r = 1/(a + r); f < 2^55 is an integer, so f + r rounds as a + r does
+        np.add(f, r, out=r)
+        np.divide(1.0, r, out=r)
+        return self.a
+
+    def keep(self, live: np.ndarray) -> None:
+        self.uniforms.keep(live)
+        self.r = self.r[live]
+        n = len(self.r)
+        self.f = self.f[:n]
+        self.a = self.a[:n]
+
+
 def digit_sum_crossings(
     master_seed: int,
     trial_indices: np.ndarray,
@@ -125,38 +177,37 @@ def digit_sum_crossings(
     # retired trials point one past the last horizon and can never cross it
     hz_ext = np.concatenate((hz, [np.iinfo(np.int64).max]))
 
+    lanes = _DigitLanes(master_seed, trials)
     idx = np.arange(n_t)
-    keys = stream_keys_np(master_seed, trials)
-    r = np.zeros(n_t, dtype=np.float64)
     s = np.zeros(n_t, dtype=np.int64)
-    counter = np.zeros(n_t, dtype=np.uint64)
+    s_new = np.empty(n_t, dtype=np.int64)
     next_h = np.zeros(n_t, dtype=np.int64)
+    thr = np.full(n_t, hz[0])  # hz_ext[next_h], the sum a lane must pass next
+    crossed = np.empty(n_t, dtype=bool)
+    n_live = n_t
 
-    while len(idx):
-        v = uniforms_np(keys, counter)
-        a = np.floor((1.0 + r * (1.0 - v)) / v).astype(np.int64)
-        s_new = s + a
-        crossed = s_new > hz_ext[next_h]
-        while np.any(crossed):
+    while n_live:
+        np.add(s, lanes.step(), out=s_new)
+        np.greater(s_new, thr, out=crossed)
+        if crossed.any():
             w = np.nonzero(crossed)[0]
-            x_out[idx[w], next_h[w]] = s[w]
-            next_h[w] += 1
-            crossed[:] = False
-            crossed[w] = s_new[w] > hz_ext[next_h[w]]
-        r = 1.0 / (a + r)
-        s = s_new
-        counter += np.uint64(1)
-        live = next_h < n_h
-        n_live = int(np.count_nonzero(live))
-        if n_live == 0:
-            break
-        if n_live < 0.7 * len(idx):
-            idx = idx[live]
-            keys = keys[live]
-            r = r[live]
-            s = s[live]
-            counter = counter[live]
-            next_h = next_h[live]
+            while len(w):
+                x_out[idx[w], next_h[w]] = s[w]
+                next_h[w] += 1
+                thr[w] = hz_ext[next_h[w]]
+                w = w[s_new[w] > thr[w]]
+            # the live count only changes on steps where a lane crossed
+            live = next_h < n_h
+            n_live = int(np.count_nonzero(live))
+            if n_live and n_live < 0.7 * len(idx):
+                lanes.keep(live)
+                idx = idx[live]
+                s_new = s_new[live]
+                next_h = next_h[live]
+                thr = thr[live]
+                s = s[:n_live]
+                crossed = crossed[:n_live]
+        s, s_new = s_new, s
     return x_out
 
 
@@ -174,18 +225,13 @@ def digit_sums_at(
     if cps.ndim != 1 or len(cps) == 0 or np.any(np.diff(cps) <= 0) or cps[0] < 1:
         raise ValueError("checkpoints must be strictly increasing positive integers")
     trials = np.asarray(trial_indices, dtype=np.uint64)
-    n_t = len(trials)
-    keys = stream_keys_np(master_seed, trials)
-    r = np.zeros(n_t, dtype=np.float64)
-    s = np.zeros(n_t, dtype=np.int64)
-    out = np.zeros((n_t, len(cps)), dtype=np.int64)
+    lanes = _DigitLanes(master_seed, trials)
+    s = np.zeros(len(trials), dtype=np.int64)
+    out = np.zeros((len(trials), len(cps)), dtype=np.int64)
     k = 0
     for j, cp in enumerate(cps.tolist()):
         while k < cp:
-            v = uniforms_np(keys, np.full(n_t, k, dtype=np.uint64))
-            a = np.floor((1.0 + r * (1.0 - v)) / v).astype(np.int64)
-            s += a
-            r = 1.0 / (a + r)
+            np.add(s, lanes.step(), out=s)
             k += 1
         out[:, j] = s
     return out

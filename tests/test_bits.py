@@ -6,6 +6,7 @@ import numpy as np
 
 from cfrenewal.bits import (
     BitSource,
+    UniformLanes,
     block64,
     blocks_np,
     mix64,
@@ -76,3 +77,21 @@ def test_mix64_avalanche_on_single_bit():
     x = mix64(0x123456789ABCDEF)
     y = mix64(0x123456789ABCDEE)
     assert bin(x ^ y).count("1") > 10
+
+
+def test_uniform_lanes_equal_uniforms_np():
+    golden = 0x9E3779B97F4A7C15
+    # keys a few counter steps below 2^64 make the counter wrap within the first draws
+    near_wrap = [(2**64 - k * golden) % 2**64 for k in (1, 2, 3)] + [2**64 - 1]
+    keys = np.concatenate(
+        (np.array(near_wrap, dtype=np.uint64), stream_keys_np(8, np.arange(60, dtype=np.uint64)))
+    )
+    lanes = UniformLanes(keys)
+    live = np.arange(len(keys)) % 3 != 1
+    for j in range(201):
+        if j == 100:
+            # dropped lanes leave the kept ones on their own streams
+            lanes.keep(live)
+            keys = keys[live]
+        want = uniforms_np(keys, np.full(len(keys), j, dtype=np.uint64))
+        assert np.array_equal(lanes.draw(), want)

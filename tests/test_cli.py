@@ -224,6 +224,25 @@ def test_config_file_precedence(tmp_path):
     assert payload["trials"] == 25
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--constant", "golden", "--count", "3"),
+        ("operator", "--n", "1"),
+        ("classic", "--which", "weak-law", "--n", "100"),
+    ],
+)
+def test_config_rejected_where_not_read(tmp_path, capsys, argv):
+    # only simulate and tail merge a config file; elsewhere it would be ignored
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed=9\ntrials=50\ndensity=one\n")
+    out = tmp_path / "out"
+    code, _ = run_cli(*argv, "--config", str(conf), "--out", str(out))
+    assert code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out.*"))
+
+
 def test_cli_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cfrenewal.cli", "expand", "--constant", "sqrt2", "--count", "3"],

@@ -8,6 +8,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from cfrenewal import sampling
 from cfrenewal.exact import DigitStream
 from cfrenewal.experiments import ExperimentConfig, fluctuation_samples
 from cfrenewal.farey import ly_orbit, ly_spent_time
@@ -43,21 +44,56 @@ def test_digit_pair_law_matches_exact_cylinders():
             assert emp == pytest.approx(exact, abs=5 * np.sqrt(0.25 / len(sel)) + 1e-3)
 
 
+def _scalar_crossings(seed: int, trial: int, horizons) -> list[int]:
+    """X_n of one trial for each horizon, by walking :func:`sampled_digits`."""
+    digits = sampled_digits(seed, trial)
+    s, a, out = 0, next(digits), []
+    for h in horizons:
+        while s + a <= h:
+            s += a
+            a = next(digits)
+        out.append(s)
+    return out
+
+
 def test_vectorized_crossings_equal_scalar_walk():
     horizons = [73, 1000]
     x = digit_sum_crossings(5, np.arange(60, dtype=np.uint64), horizons)
     for t in range(60):
-        s = 0
-        want = {}
-        for a in sampled_digits(5, t):
-            for h in horizons:
-                if s + a > h and h not in want:
-                    want[h] = s
-            if len(want) == len(horizons):
-                break
-            s += a
-        assert x[t, 0] == want[73]
-        assert x[t, 1] == want[1000]
+        assert x[t].tolist() == _scalar_crossings(5, t, horizons)
+
+
+def test_crossings_equal_scalar_walk_through_compaction(monkeypatch):
+    # horizons a decade apart retire lanes in waves, so compaction fires repeatedly
+    horizons = (5, 50, 500, 5000)
+    trials = 400
+    kept = []
+    keep = sampling._DigitLanes.keep
+
+    def counting_keep(lanes, live):
+        kept.append(len(live))
+        keep(lanes, live)
+
+    monkeypatch.setattr(sampling._DigitLanes, "keep", counting_keep)
+    x = digit_sum_crossings(17, np.arange(trials, dtype=np.uint64), horizons)
+    assert len(kept) >= 3 and kept[0] == trials
+    for t in range(trials):
+        assert x[t].tolist() == _scalar_crossings(17, t, horizons)
+
+
+def test_rows_independent_of_neighbouring_lanes():
+    trials = 300
+    horizons = (5, 50, 500, 5000)
+    cps = (3, 40, 200)
+    both = np.arange(2 * trials, dtype=np.uint64)
+    order = np.random.default_rng(4).permutation(trials).astype(np.uint64)
+    for run, args in ((digit_sum_crossings, horizons), (digit_sums_at, cps)):
+        base = run(23, both, args)
+        # shuffled lanes, the offset block t + trials, and lone lanes
+        assert np.array_equal(run(23, order, args), base[order])
+        assert np.array_equal(run(23, both[trials:], args), base[trials:])
+        for t in (0, 7, trials + 11, 2 * trials - 1):
+            assert np.array_equal(run(23, np.array([t], dtype=np.uint64), args)[0], base[t])
 
 
 def test_digit_sums_at_equal_scalar_walk():
