@@ -6,6 +6,14 @@ stream, composed with an integer Mobius map that tracks where the remaining
 the integer part of the reciprocal is constant on the whole image interval,
 so every emitted digit is valid for every real consistent with the bits
 consumed so far.
+
+No gcd is taken per digit.  Absorbing a bit leaves ``(a, c)`` unchanged and
+the Gauss step maps it to ``(c - m*a, a)``, so ``gcd(a, c)`` never changes;
+and absorbing bits into a state whose entries share no factor can create
+only a power of 2 as a new common factor, and only when ``a`` and ``c`` are
+both even.  The Gauss step therefore normalizes just in that case.  A real
+started from the identity keeps ``gcd(a, c) = 1`` and never normalizes:
+after B bits its entries share no factor and ``|ad - bc| = 2^B``.
 """
 
 from __future__ import annotations
@@ -69,7 +77,11 @@ class MobiusState:
     """Integer map y -> (a*y + b)/(c*y + d) applied to the unread tail y in [0,1].
 
     Invariants kept by the update methods: the denominator is positive on
-    [0, 1] and the four entries have no common factor.
+    [0, 1], and after each :meth:`emit` the four entries have no common
+    factor.  Construction normalizes with the full gcd; :meth:`emit`
+    normalizes only when ``a`` and ``c`` are both even, the one case in which
+    the bits absorbed since the last emit can have left a common factor (see
+    the module docstring).  :meth:`absorb` does not normalize.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -129,22 +141,14 @@ class MobiusState:
 
     def emit(self, digit: int) -> None:
         """Apply xi -> 1/xi - digit on top of the current state."""
-        self.a, self.b, self.c, self.d = (
-            self.c - digit * self.a,
-            self.d - digit * self.b,
-            self.a,
-            self.b,
-        )
-        self.normalize()
+        a, c = self.c - digit * self.a, self.a
+        self.a, self.b, self.c, self.d = a, self.d - digit * self.b, c, self.b
+        if not (a & 1 or c & 1):
+            self.normalize()
 
     def is_exhausted(self) -> bool:
         """True when the image has collapsed to the single point 0."""
         return self.a == 0 and self.b == 0
-
-    def copy(self) -> "MobiusState":
-        out = MobiusState.__new__(MobiusState)
-        out.a, out.b, out.c, out.d = self.a, self.b, self.c, self.d
-        return out
 
 
 class LazyReal:
@@ -153,7 +157,9 @@ class LazyReal:
     ``next_digit`` absorbs bits until the next digit is determined on the
     whole image interval, then composes the Gauss step into the state.  The
     per-digit refinement cap turns measure-zero pathologies into
-    :class:`NonGenericPointError`.
+    :class:`NonGenericPointError`.  ``bits_consumed`` counts every bit
+    absorbed into the state (and the tracked prefix), also when
+    ``next_digit`` raises.
     """
 
     __slots__ = ("source", "state", "refine_cap", "bits_consumed", "digits_emitted", "_prefix")
@@ -181,49 +187,27 @@ class LazyReal:
 
     def next_digit(self) -> int:
         st = self.state
-        a, b, c, d = st.a, st.b, st.c, st.d
         src = self.source
-        cap = self.refine_cap
         absorbed = 0
-        while True:
-            ab = a + b
-            if b > 0 and ab > 0:
-                m = d // b
-                if m >= 1:
-                    t = (c + d) - m * ab
-                    if 0 <= t < ab:
-                        break
-            elif a == 0 and b == 0:
-                st.a, st.b, st.c, st.d = a, b, c, d
+        m = st.determined_digit()
+        while m is None:
+            if st.is_exhausted():
                 raise StreamExhausted("image collapsed to 0; no further digits")
-            if absorbed >= cap:
-                st.a, st.b, st.c, st.d = a, b, c, d
+            if absorbed >= self.refine_cap:
                 raise NonGenericPointError(
                     f"digit undetermined after {absorbed} refinement bits "
                     f"(stream {src.stream_index}, digit {self.digits_emitted + 1})"
                 )
             bit = src.next_bit()
-            if bit:
-                b = a + 2 * b
-                d = c + 2 * d
-            else:
-                b = 2 * b
-                d = 2 * d
+            st.absorb(bit)
             absorbed += 1
+            self.bits_consumed += 1
             if self._prefix is not None:
                 self._prefix = 2 * self._prefix + bit
+            m = st.determined_digit()
         if m >= _DIGIT_LIMIT:
             raise DigitOverflowError(f"digit {m} exceeds the 64-bit checked range")
-        # Gauss step xi -> 1/xi - m composed into the state
-        a, b, c, d = c - m * a, d - m * b, a, b
-        g = gcd(gcd(a, b), gcd(c, d))
-        if g > 1:
-            a //= g
-            b //= g
-            c //= g
-            d //= g
-        st.a, st.b, st.c, st.d = a, b, c, d
-        self.bits_consumed += absorbed
+        st.emit(m)
         self.digits_emitted += 1
         return m
 

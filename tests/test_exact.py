@@ -212,3 +212,83 @@ def test_digit_overflow_is_a_typed_error():
     stream.digit(1)
     with pytest.raises(DigitOverflowError):
         stream.digit(2)
+
+
+def test_bits_consumed_matches_source_when_next_digit_raises():
+    class OnesSource(BitSource):
+        def next_bit(self):
+            self.position += 1
+            return 1
+
+    src = OnesSource(0, 0)
+    real = LazyReal(src, refine_cap=64, track_prefix=True)
+    assert real.next_digit() == 1
+    with pytest.raises(NonGenericPointError):
+        real.next_digit()
+    assert real.bits_consumed == src.position == 66
+    assert real.dyadic == DyadicInterval((1 << 66) - 1, 66)
+
+
+def _reference_walk(src: BitSource, state: MobiusState, count: int):
+    """Certified digits by a bit-by-bit walk that normalizes with the full gcd.
+
+    Yields (digit, bits consumed, prefix, (a, b, c, d), common factor removed)
+    after each digit, and stops where the image collapses to 0.
+    """
+    st = MobiusState(state.a, state.b, state.c, state.d)
+    bits = prefix = 0
+    for _ in range(count):
+        digit = st.determined_digit()
+        while digit is None:
+            if st.a == 0 and st.b == 0:
+                return
+            bit = src.next_bit()
+            st.absorb(bit)
+            bits += 1
+            prefix = 2 * prefix + bit
+            digit = st.determined_digit()
+        a, b, c, d = st.c - digit * st.a, st.d - digit * st.b, st.a, st.b
+        g = gcd(gcd(a, b), gcd(c, d))
+        st.a, st.b, st.c, st.d = a // g, b // g, c // g, d // g
+        yield digit, bits, prefix, (st.a, st.b, st.c, st.d), g
+
+
+def _lazy_walk(src: BitSource, state: MobiusState, count: int):
+    real = LazyReal(src, state=state, track_prefix=True)
+    for _ in range(count):
+        try:
+            digit = real.next_digit()
+        except StreamExhausted:
+            return
+        st = real.state
+        yield digit, real.bits_consumed, real.dyadic.numerator, (st.a, st.b, st.c, st.d)
+
+
+def test_lazy_real_matches_full_gcd_reference_walk():
+    for seed in range(100):
+        ref = list(_reference_walk(BitSource(seed, 7), MobiusState.identity(), 300))
+        got = list(_lazy_walk(BitSource(seed, 7), MobiusState.identity(), 300))
+        assert len(got) == 300
+        assert got == [row[:4] for row in ref]
+        for _, bits, _, (a, b, c, d), g in ref:
+            assert g == 1
+            assert gcd(a, c) == 1
+            assert gcd(gcd(a, b), gcd(c, d)) == 1
+            assert abs(a * d - b * c) == 1 << bits
+
+
+def test_lazy_real_matches_reference_walk_from_user_states():
+    fired = 0
+    for seed in range(20):
+        ref = list(_reference_walk(BitSource(seed, 3), MobiusState(2, 1, 0, 4), 300))
+        got = list(_lazy_walk(BitSource(seed, 3), MobiusState(2, 1, 0, 4), 300))
+        assert len(got) == 300
+        assert got == [row[:4] for row in ref]
+        fired += sum(g > 1 for *_, g in ref)
+    # the state starts with a and c both even, so normalization has work to do
+    assert fired > 0
+    for value in (Fraction(3, 7), Fraction(113, 355), Fraction(1, 2**40 + 1), Fraction(89, 144)):
+        ref = list(_reference_walk(BitSource(1, 0), MobiusState.constant(value), 50))
+        got = list(_lazy_walk(BitSource(1, 0), MobiusState.constant(value), 50))
+        assert got == [row[:4] for row in ref]
+        assert [row[0] for row in got] == _digits(digits_of_rational(value.numerator, value.denominator))
