@@ -22,7 +22,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 from math import exp, log
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .exact import (
@@ -60,14 +62,23 @@ class UsageError(Exception):
     pass
 
 
+# rows rendered per block: output memory stays bounded whatever the row count
+BLOCK_ROWS = 8192
+
+
 @dataclass(frozen=True)
 class OutputRecord:
-    """One subcommand's output: parameter echo plus row and summary payloads."""
+    """One subcommand's output: parameter echo plus column and summary payloads.
+
+    ``columns`` holds one equal-length sequence per header field: a numpy
+    array (the bulk columns of ``simulate``) or a list (the few rows of the
+    other subcommands).
+    """
 
     experiment: str
     config: dict
     header: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    columns: tuple[Sequence, ...]
     summary: dict = field(default_factory=dict)
 
     @property
@@ -80,6 +91,10 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _list_columns(rows: Sequence[Sequence]) -> tuple[list, ...]:
+    return tuple(map(list, zip(*rows)))
 
 
 def _config_hash(config: dict) -> str:
@@ -97,50 +112,76 @@ def _meta(config: dict) -> dict:
     }
 
 
-def _write_text(path: str, text: str) -> None:
+def _format_column(col) -> list[str]:
+    """Each value as ``_fmt`` would print it.
+
+    A float64 array is formatted once per distinct bit pattern: keying on the
+    bits rather than the values keeps ``-0.0`` apart from ``0.0`` and NaN exact.
+    """
+    if not isinstance(col, np.ndarray):
+        return list(map(_fmt, col))
+    if col.dtype != np.float64:
+        return list(map(str, col.tolist()))
+    _, first, inverse = np.unique(col.view(np.uint64), return_index=True, return_inverse=True)
+    reprs = [repr(v) for v in col[first].tolist()]
+    return [reprs[i] for i in inverse.tolist()]
+
+
+def _csv_block(columns: Sequence[Sequence], lo: int, hi: int) -> str:
+    """Rows ``lo:hi`` as newline-terminated CSV lines."""
+    cols = [_format_column(c[lo:hi]) for c in columns]
+    return "\n".join(map(",".join, zip(*cols, strict=True))) + "\n"
+
+
+def _render(head: Sequence[str], columns: Sequence[Sequence]) -> Iterator[str]:
+    """The head lines, then the columns' rows in blocks of ``BLOCK_ROWS``."""
+    yield "\n".join(head) + "\n"
+    n_rows = len(columns[0]) if columns else 0
+    for lo in range(0, n_rows, BLOCK_ROWS):
+        yield _csv_block(columns, lo, lo + BLOCK_ROWS)
+
+
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to ``path`` through a temp file and a rename.
+
+    The chunks may be rendered lazily, so any exception, not only an I/O
+    error, removes the temp file before it propagates.
+    """
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence], config: dict) -> str:
-    lines = [
-        "# " + " ".join(
-            [f"seed={config.get('seed')}", f"version={__version__}", f"config_hash={_config_hash(config)}"]
-        ),
-        ",".join(header),
-    ]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _emit(args, record: OutputRecord) -> None:
     """Write the record as CSV and JSON (or print when no --out is given).
 
-    Writes go through a temp-and-rename, and a failure removes any sibling
+    Writes go through a temp-and-rename, and any failure removes the sibling
     file already written by this invocation, so outputs are all-or-nothing.
     """
     summary = dict(record.summary)
     summary.setdefault("experiment", record.experiment)
     summary.update(_meta(record.config))
+    header = ",".join(record.header)
     if args.out:
         base = args.out
         written = []
+        comment = "# " + " ".join(
+            [f"seed={record.config.get('seed')}", f"version={__version__}", f"config_hash={record.config_hash}"]
+        )
         try:
             if args.format in ("csv", "both"):
-                _write_text(base + ".csv", _csv_text(record.header, record.rows, record.config))
+                _write_text(base + ".csv", _render([comment, header], record.columns))
                 written.append(base + ".csv")
             if args.format in ("json", "both"):
-                _write_text(base + ".json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+                _write_text(base + ".json", [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
                 written.append(base + ".json")
-        except OSError:
+        except BaseException:
             for path in written:
                 try:
                     os.unlink(path)
@@ -148,9 +189,7 @@ def _emit(args, record: OutputRecord) -> None:
                     pass
             raise
     else:
-        print(",".join(record.header))
-        for row in record.rows:
-            print(",".join(_fmt(v) for v in row))
+        sys.stdout.writelines(_render([header], record.columns))
         print(json.dumps(summary, sort_keys=True))
 
 
@@ -249,7 +288,7 @@ def cmd_expand(args) -> int:
         "refine-cap": args.refine_cap,
     }
     summary = {"experiment": "expand", "rows": len(rows)}
-    _emit(args, OutputRecord(experiment="expand", config=config, header=tuple(header), rows=tuple(tuple(r) for r in rows), summary=summary))
+    _emit(args, OutputRecord(experiment="expand", config=config, header=tuple(header), columns=_list_columns(rows), summary=summary))
     return 0
 
 
@@ -281,13 +320,16 @@ def cmd_simulate(args) -> int:
     # wall time goes to stderr: output files must stay byte-identical across runs
     print(f"runtime_s={time.monotonic() - t0:.2f}", file=sys.stderr)
     header = ["trial", "n", "X_n", "gap", "scaled"]
-    rows = []
-    for j, n in enumerate(report.horizons):
-        xcol = report.samples.x_values[:, j]
-        scaled = report.samples.scaled(n)
-        for t in range(cfg.trials):
-            x = int(xcol[t])
-            rows.append((t, n, x, n - x, float(scaled[t])))
+    # horizon-major rows: every trial at the first horizon, then the next
+    n_col = np.repeat(np.asarray(report.horizons, dtype=np.int64), cfg.trials)
+    x_col = report.samples.x_values.T.ravel()
+    columns = (
+        np.tile(np.arange(cfg.trials, dtype=np.int64), len(report.horizons)),
+        n_col,
+        x_col,
+        n_col - x_col,
+        np.concatenate([report.samples.scaled(n) for n in report.horizons]),
+    )
     config = _echo_config(conf)
     summary = {
         "experiment": "uniform-law",
@@ -297,7 +339,7 @@ def cmd_simulate(args) -> int:
         "atom_frequency": list(report.atom_frequency),
         "resampled": report.resampled,
     }
-    _emit(args, OutputRecord(experiment="simulate", config=config, header=tuple(header), rows=tuple(tuple(r) for r in rows), summary=summary))
+    _emit(args, OutputRecord(experiment="simulate", config=config, header=tuple(header), columns=columns, summary=summary))
     return 0
 
 
@@ -351,7 +393,7 @@ def cmd_tail(args) -> int:
             for r in reports
         ],
     }
-    _emit(args, OutputRecord(experiment="tail", config=config, header=tuple(header), rows=tuple(tuple(r) for r in rows), summary=summary))
+    _emit(args, OutputRecord(experiment="tail", config=config, header=tuple(header), columns=_list_columns(rows), summary=summary))
     return 0
 
 
@@ -409,7 +451,7 @@ def cmd_operator(args) -> int:
         "schedule": schedule,
         "products": {str(tr.n): list(tr.products) for tr in traces},
     }
-    _emit(args, OutputRecord(experiment="operator", config=config, header=tuple(header), rows=tuple(tuple(r) for r in rows), summary=summary))
+    _emit(args, OutputRecord(experiment="operator", config=config, header=tuple(header), columns=_list_columns(rows), summary=summary))
     return 0
 
 
@@ -492,7 +534,7 @@ def cmd_classic(args) -> int:
         "trials": trials,
         "n": ",".join(str(v) for v in (args.n or [])),
     }
-    _emit(args, OutputRecord(experiment="classic", config=config, header=tuple(header), rows=tuple(tuple(r) for r in rows), summary=summary))
+    _emit(args, OutputRecord(experiment="classic", config=config, header=tuple(header), columns=_list_columns(rows), summary=summary))
     return 0
 
 

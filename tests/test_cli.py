@@ -6,8 +6,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from cfrenewal import cli
 from cfrenewal.cli import main
 
 
@@ -111,27 +113,21 @@ def test_simulate_single_trial_row(tmp_path):
 
 
 def test_simulate_worker_counts_byte_identical(tmp_path):
-    a = tmp_path / "w1"
-    b = tmp_path / "w8"
-    for out, workers in ((a, "1"), (b, "8")):
+    # 9000 trials make two 8192-trial chunks, so --workers 2 really runs a pool
+    for workers in ("1", "2"):
         code, _ = run_cli(
             "simulate",
             "--seed", "7",
-            "--trials", "4000",
+            "--trials", "9000",
             "--n", "1000",
             "--n", "10000",
             "--workers", workers,
-            "--out", str(out),
+            "--out", str(tmp_path / f"w{workers}"),
         )
         assert code == 0
     assert (tmp_path / "w1.csv").read_bytes() != b""
-    # the workers flag is echoed in the config, so compare payload rows instead
-    rows1 = (tmp_path / "w1.csv").read_text().splitlines()[2:]
-    rows8 = (tmp_path / "w8.csv").read_text().splitlines()[2:]
-    assert rows1 == rows8
-    ks1 = json.loads((tmp_path / "w1.json").read_text())["ks"]
-    ks8 = json.loads((tmp_path / "w8.json").read_text())["ks"]
-    assert ks1 == ks8
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"w1{suffix}").read_bytes() == (tmp_path / f"w2{suffix}").read_bytes()
 
 
 def test_tail_theoretical_column_and_monotone_frequency(tmp_path):
@@ -281,3 +277,78 @@ def test_partial_output_removed_on_write_failure(tmp_path):
     )
     assert code == 4
     assert not (tmp_path / "part.csv").exists()
+
+
+def test_partial_output_removed_when_rendering_fails(tmp_path, monkeypatch):
+    # the CSV body is rendered while the temp file is open; an error in the
+    # second block must leave neither the temp file nor any final file
+    calls = []
+    real_block = cli._csv_block
+
+    def failing_block(columns, lo, hi):
+        calls.append(lo)
+        if len(calls) == 2:
+            raise RuntimeError("formatter failed")
+        return real_block(columns, lo, hi)
+
+    monkeypatch.setattr(cli, "_csv_block", failing_block)
+    stem = tmp_path / "part"
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        run_cli("simulate", "--seed", "5", "--trials", "5000", "--n", "100", "--n", "1000", "--out", str(stem))
+    assert calls == [0, cli.BLOCK_ROWS]
+    for suffix in (".csv", ".csv.tmp", ".json", ".json.tmp"):
+        assert not (tmp_path / f"part{suffix}").exists()
+
+
+def test_written_csv_removed_when_json_fails(tmp_path, monkeypatch):
+    # a non-I/O error while writing the second file still removes the first
+    def failing_dumps(*args, **kwargs):
+        raise TypeError("not serializable")
+
+    monkeypatch.setattr(cli.json, "dumps", failing_dumps)
+    stem = tmp_path / "part"
+    with pytest.raises(TypeError):
+        run_cli("operator", "--density", "one", "--n", "2", "--out", str(stem))
+    assert not list(tmp_path.iterdir())
+
+
+def _rowwise_reference(columns) -> str:
+    # the row-at-a-time formatting the block renderer must reproduce exactly
+    lines = []
+    for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)):
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "".join(line + "\n" for line in lines)
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 0.1 + 0.2, 1 / 3]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1])
+def test_block_renderer_matches_rowwise_formatting(n_rows):
+    idx = np.arange(n_rows)
+    floats = np.array(_SPECIAL_FLOATS)[idx % len(_SPECIAL_FLOATS)]
+    # a run of one value straddles the block boundary
+    floats[cli.BLOCK_ROWS - 4 : cli.BLOCK_ROWS + 1] = 0.1 + 0.2
+    ints = (idx * 7919 % 1000 - 500).astype(np.int64)
+    mixed = [[k, 2.5 * k, "end", "", -k][k % 5] for k in range(n_rows)]
+    columns = (ints, floats, mixed, np.log1p(idx.astype(np.float64)))
+    text = "".join(cli._render(["a,b,c,d"], columns))
+    assert text == "a,b,c,d\n" + _rowwise_reference(columns)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--seed", "7", "--trials", "5000", "--n", "100", "--n", "1000"),
+        ("operator", "--density", "one", "--n", "2", "--n", "8"),
+    ],
+)
+def test_stdout_matches_written_files(tmp_path, argv):
+    code, printed = run_cli(*argv)
+    assert code == 0
+    code, _ = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert code == 0
+    csv_lines = (tmp_path / "out.csv").read_text().splitlines()
+    assert csv_lines[0].startswith("# seed=")
+    summary = json.loads((tmp_path / "out.json").read_text())
+    assert printed.splitlines() == csv_lines[1:] + [json.dumps(summary, sort_keys=True)]
