@@ -181,7 +181,3 @@ class BitSource:
         for _ in range(count):
             out = (out << 1) | self.next_bit()
         return out
-
-    def fork(self, stream_index: int) -> "BitSource":
-        """Fresh source for another stream index under the same master seed."""
-        return BitSource(self.master_seed, stream_index)

@@ -146,6 +146,26 @@ class MobiusState:
         if not (a & 1 or c & 1):
             self.normalize()
 
+    def compose(self, m: tuple[int, int, int, int]) -> None:
+        """Apply the integer map x -> (alpha*x + beta)/(gamma*x + delta) on top of the state.
+
+        All signs are flipped when needed to keep the denominator positive
+        on [0, 1].  Like :meth:`emit` this normalizes only when ``a`` and
+        ``c`` are both even.  That finds every common factor while
+        ``|ad - bc|`` is a power of 2, as for a state started from the
+        identity that absorbs bits and composes maps of determinant +-1 or
+        +-2: a common factor g has g^2 dividing the determinant, so it is a
+        power of 2 and ``a`` and ``c`` are even.
+        """
+        al, be, ga, de = m
+        a, b, c, d = self.a, self.b, self.c, self.d
+        a, b, c, d = al * a + be * c, al * b + be * d, ga * a + de * c, ga * b + de * d
+        if d < 0 or c + d < 0:
+            a, b, c, d = -a, -b, -c, -d
+        self.a, self.b, self.c, self.d = a, b, c, d
+        if not (a & 1 or c & 1):
+            self.normalize()
+
     def is_exhausted(self) -> bool:
         """True when the image has collapsed to the single point 0."""
         return self.a == 0 and self.b == 0

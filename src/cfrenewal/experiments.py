@@ -77,26 +77,39 @@ class FluctuationSamples:
         return np.log(np.maximum(g, 1.0)) / log(horizon)
 
 
-def _chunk_ranges(trials: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk_size, trials)) for lo in range(0, trials, chunk_size)]
+def _map_chunks(fn, cfg: ExperimentConfig, *args, offset: int = 0) -> list:
+    """``fn(seed, trial_indices, *args)`` on every chunk of trials, results in index order.
+
+    Chunk boundaries depend only on ``cfg.trials`` and ``cfg.chunk_size``;
+    trial t runs as trial ``offset + t``.  With more than one worker and
+    more than one chunk the chunks run on a process pool.
+    """
+    jobs = []
+    for lo in range(0, cfg.trials, cfg.chunk_size):
+        hi = min(lo + cfg.chunk_size, cfg.trials)
+        jobs.append((cfg.master_seed, np.arange(offset + lo, offset + hi, dtype=np.uint64), *args))
+    if cfg.workers <= 1 or len(jobs) <= 1:
+        return [fn(*job) for job in jobs]
+    with get_context("fork").Pool(min(cfg.workers, len(jobs))) as pool:
+        return pool.starmap(fn, jobs)
 
 
-def _sampled_chunk(args: tuple[int, int, int, tuple[int, ...]]) -> np.ndarray:
-    seed, lo, hi, horizons = args
-    return sampling.digit_sum_crossings(seed, np.arange(lo, hi, dtype=np.uint64), horizons)
+def _sampled_chunk(seed: int, trial_indices: np.ndarray, horizons: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    return sampling.digit_sum_crossings(seed, trial_indices, horizons), 0
 
 
-def _exact_chunk(args: tuple[int, int, int, tuple[int, ...], int, int]) -> tuple[np.ndarray, int]:
-    seed, lo, hi, horizons, refine_cap, trials = args
-    out = np.zeros((hi - lo, len(horizons)), dtype=np.int64)
+def _exact_chunk(
+    seed: int, trial_indices: np.ndarray, horizons: tuple[int, ...], refine_cap: int, trials: int
+) -> tuple[np.ndarray, int]:
+    out = np.zeros((len(trial_indices), len(horizons)), dtype=np.int64)
     resampled = 0
-    for t in range(lo, hi):
+    for i, t in enumerate(trial_indices.tolist()):
         stream_index = t
         for attempt in range(_MAX_RESAMPLE_ROUNDS):
             stream = DigitStream.from_seed(seed, stream_index, refine_cap)
             try:
                 for j, n in enumerate(horizons):
-                    out[t - lo, j] = fluctuation(stream, n).X_n
+                    out[i, j] = fluctuation(stream, n).X_n
                 break
             except NonGenericPointError:
                 resampled += 1
@@ -108,34 +121,15 @@ def _exact_chunk(args: tuple[int, int, int, tuple[int, ...], int, int]) -> tuple
     return out, resampled
 
 
-def _map_chunks(fn, arg_list, workers: int) -> list:
-    if workers <= 1 or len(arg_list) <= 1:
-        return [fn(a) for a in arg_list]
-    ctx = get_context("fork")
-    with ctx.Pool(min(workers, len(arg_list))) as pool:
-        return pool.map(fn, arg_list)
-
-
 def fluctuation_samples(cfg: ExperimentConfig) -> FluctuationSamples:
     """Draw X_n for every trial at every configured horizon."""
     horizons = tuple(sorted(cfg.horizons))
-    ranges = _chunk_ranges(cfg.trials, cfg.chunk_size)
     if cfg.digit_source == "sampled":
-        parts = _map_chunks(
-            _sampled_chunk,
-            [(cfg.master_seed, lo, hi, horizons) for lo, hi in ranges],
-            cfg.workers,
-        )
-        x = np.concatenate(parts, axis=0)
-        resampled = 0
+        parts = _map_chunks(_sampled_chunk, cfg, horizons)
     else:
-        parts = _map_chunks(
-            _exact_chunk,
-            [(cfg.master_seed, lo, hi, horizons, cfg.refine_cap, cfg.trials) for lo, hi in ranges],
-            cfg.workers,
-        )
-        x = np.concatenate([p[0] for p in parts], axis=0)
-        resampled = sum(p[1] for p in parts)
+        parts = _map_chunks(_exact_chunk, cfg, horizons, cfg.refine_cap, cfg.trials)
+    x = np.concatenate([p[0] for p in parts], axis=0)
+    resampled = sum(p[1] for p in parts)
     return FluctuationSamples(horizons=horizons, x_values=x, master_seed=cfg.master_seed, resampled=resampled)
 
 
@@ -240,19 +234,12 @@ class WeakLawReport:
     samples: EmpiricalDistribution
 
 
-def _sums_chunk(args: tuple[int, int, int, tuple[int, ...]]) -> np.ndarray:
-    seed, lo, hi, checkpoints = args
-    return sampling.digit_sums_at(seed, np.arange(lo, hi, dtype=np.uint64), checkpoints)
+def _sums_chunk(seed: int, trial_indices: np.ndarray, checkpoints: tuple[int, ...]) -> np.ndarray:
+    return sampling.digit_sums_at(seed, trial_indices, checkpoints)
 
 
-def _digit_sums_parallel(cfg: ExperimentConfig, checkpoints: tuple[int, ...]) -> np.ndarray:
-    ranges = _chunk_ranges(cfg.trials, cfg.chunk_size)
-    parts = _map_chunks(
-        _sums_chunk,
-        [(cfg.master_seed, lo, hi, checkpoints) for lo, hi in ranges],
-        cfg.workers,
-    )
-    return np.concatenate(parts, axis=0)
+def _digit_sums_parallel(cfg: ExperimentConfig, checkpoints: tuple[int, ...], offset: int = 0) -> np.ndarray:
+    return np.concatenate(_map_chunks(_sums_chunk, cfg, checkpoints, offset=offset), axis=0)
 
 
 def run_weak_law(cfg: ExperimentConfig) -> WeakLawReport:
@@ -298,14 +285,7 @@ def run_stable_stability(cfg: ExperimentConfig) -> StableStabilityReport:
         # degenerate sanity case: identical samples, KS exactly zero
         sums2 = sums1.copy()
     else:
-        offset = cfg.trials
-        ranges = _chunk_ranges(cfg.trials, cfg.chunk_size)
-        parts = _map_chunks(
-            _sums_chunk,
-            [(cfg.master_seed, offset + lo, offset + hi, (k2,)) for lo, hi in ranges],
-            cfg.workers,
-        )
-        sums2 = np.concatenate(parts, axis=0)[:, 0]
+        sums2 = _digit_sums_parallel(cfg, (k2,), offset=cfg.trials)[:, 0]
     y1 = sums1 * (log(2.0) / k1) - log(k1)
     y2 = sums2 * (log(2.0) / k2) - log(k2)
     e1 = EmpiricalDistribution.from_samples(y1)
@@ -335,33 +315,11 @@ class LyUniformLawReport:
         return np.log(np.maximum(sigma, 1.0)) / log(horizon)
 
 
-def _ly_chunk(args: tuple[int, int, int, tuple[int, ...]]) -> np.ndarray:
-    seed, lo, hi, horizons = args
-    return sampling.ly_last_visits(seed, np.arange(lo, hi, dtype=np.uint64), horizons)
-
-
 def run_ly_uniform_law(cfg: ExperimentConfig) -> LyUniformLawReport:
     """Scaled spent time of the Lasota-Yorke map against U[0, 1]."""
     horizons = tuple(sorted(cfg.horizons))
-    ranges = _chunk_ranges(cfg.trials, cfg.chunk_size)
-    parts = _map_chunks(
-        _ly_chunk,
-        [(cfg.master_seed, lo, hi, horizons) for lo, hi in ranges],
-        cfg.workers,
-    )
-    last = np.concatenate(parts, axis=0)
-    report = LyUniformLawReport(
-        horizons=horizons,
-        ks=(),
-        never_visited=(),
-        trials=cfg.trials,
-        last_visits=last,
-    )
-    ks_list = []
-    misses = []
-    for n in horizons:
-        scaled = report.scaled(n)
-        ks_list.append(ks_uniform(EmpiricalDistribution.from_samples(scaled)))
-        j = horizons.index(n)
-        misses.append(float(np.mean(last[:, j] < 0)))
-    return replace(report, ks=tuple(ks_list), never_visited=tuple(misses))
+    last = np.concatenate(_map_chunks(sampling.ly_last_visits, cfg, horizons), axis=0)
+    report = LyUniformLawReport(horizons=horizons, ks=(), never_visited=(), trials=cfg.trials, last_visits=last)
+    ks = tuple(ks_uniform(EmpiricalDistribution.from_samples(report.scaled(n))) for n in horizons)
+    never_visited = tuple(float(np.mean(col < 0)) for col in last.T)
+    return replace(report, ks=ks, never_visited=never_visited)

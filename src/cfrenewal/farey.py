@@ -70,7 +70,9 @@ class LazyOrbit:
     The state maps the unread tail of the source to the current iterate.
     Branches are decided by comparing the exact image interval against 1/2,
     absorbing bits until the comparison resolves; hitting the refinement cap
-    raises :class:`NonGenericPointError` (branch boundary).
+    raises :class:`NonGenericPointError` (branch boundary).  Both maps'
+    branches have determinant +-1 or 2, so :meth:`MobiusState.compose`
+    keeps the state free of common factors by its parity rule alone.
     """
 
     __slots__ = ("source", "state", "refine_cap", "left", "right", "time", "bits_consumed")
@@ -114,18 +116,7 @@ class LazyOrbit:
     def step(self) -> bool:
         """Advance one step; returns True when the step used the right branch."""
         right = self._resolve_branch()
-        al, be, ga, de = self.right if right else self.left
-        st = self.state
-        a, b, c, d = st.a, st.b, st.c, st.d
-        st.a, st.b, st.c, st.d = (
-            al * a + be * c,
-            al * b + be * d,
-            ga * a + de * c,
-            ga * b + de * d,
-        )
-        if st.d < 0 or (st.c + st.d) < 0:
-            st.a, st.b, st.c, st.d = -st.a, -st.b, -st.c, -st.d
-        st.normalize()
+        self.state.compose(self.right if right else self.left)
         self.time += 1
         return right
 

@@ -25,15 +25,17 @@ One 64-bit block of the trial's keyed bit stream is consumed per draw, so
 results are a pure function of (master_seed, stream_index) and independent
 of scheduling.
 
-The vectorized digit scans (:func:`digit_sum_crossings`, :func:`digit_sums_at`)
-run the chain r' = 1/(a + r) of many trials side by side in one in-place lane
-kernel, ``_DigitLanes``.  Its buffers are allocated once per call; each lane
-keeps its block counter ``key + (j+1)*GOLDEN`` and advances it by one
-wrapping add (:class:`~cfrenewal.bits.UniformLanes`), and every step applies
-the scalar sampler's operations in the scalar sampler's order.  So lane i
-reproduces :func:`sampled_digits` for its trial exactly, digit for digit,
-whatever the other lanes hold and however often retired lanes are compacted
-away.
+The vectorized scans run one lane per trial, in place on
+:class:`~cfrenewal.bits.UniformLanes`: ``_DigitLanes`` steps the digit chain
+and ``_RunLanes`` the Lasota-Yorke run chain, each with the scalar sampler's
+operations in its order, so a lane reproduces its trial's scalar chain
+exactly, whatever the other lanes hold and however often retired lanes are
+compacted away.  Both chains answer the same question, the last partial sum
+at or below each horizon, on one crossing scan, ``_last_sums``.  Digit sums
+start at S_0 = 0.  A Lasota-Yorke run of length ``run`` ends with a visit
+to (1/2, 1] and the next run starts one step later, so the visit times are
+the partial sums of the gaps ``run + 1`` started at -1 (the first visit is
+at time run_1), and -1 is left where no visit reaches a horizon.
 """
 
 from __future__ import annotations
@@ -112,28 +114,41 @@ def orbit_checkpoints(
     return out
 
 
-class _DigitLanes:
-    """The digit chain r -> 1/(a + r) of many trials, advanced in place.
+class _Lanes:
+    """One sampled chain per trial: lane i runs trial ``trial_indices[i]``.
 
-    Lane i runs trial ``trial_indices[i]``: :meth:`step` draws its next
-    digit into ``a`` with exactly the arithmetic of :func:`sampled_digits`,
-    so every lane reproduces the scalar sampler digit for digit.  Buffers
-    are allocated once; :meth:`keep` drops retired lanes.
+    ``state`` is the chain's parameter, 0 at the start; a subclass's
+    ``step`` draws every lane's next increment into ``a``.  Buffers are
+    allocated once; :meth:`keep` drops retired lanes.
     """
 
-    __slots__ = ("uniforms", "r", "f", "a")
+    __slots__ = ("uniforms", "state", "f", "a")
 
     def __init__(self, master_seed: int, trial_indices: np.ndarray):
-        self.uniforms = UniformLanes(stream_keys_np(master_seed, trial_indices))
-        n = len(trial_indices)
-        self.r = np.zeros(n, dtype=np.float64)
+        trials = np.asarray(trial_indices, dtype=np.uint64)
+        self.uniforms = UniformLanes(stream_keys_np(master_seed, trials))
+        n = len(trials)
+        self.state = np.zeros(n, dtype=np.float64)
         self.f = np.empty(n, dtype=np.float64)
         self.a = np.empty(n, dtype=np.int64)
+
+    def keep(self, live: np.ndarray) -> None:
+        self.uniforms.keep(live)
+        self.state = self.state[live]
+        n = len(self.state)
+        self.f = self.f[:n]
+        self.a = self.a[:n]
+
+
+class _DigitLanes(_Lanes):
+    """The digit chain r -> 1/(a + r); each step is one digit, as :func:`sampled_digits` draws it."""
+
+    __slots__ = ()
 
     def step(self) -> np.ndarray:
         """Draw one digit per lane; returns ``a`` (overwritten by the next step)."""
         v = self.uniforms.draw()
-        r, f = self.r, self.f
+        r, f = self.state, self.f
         # f = floor((1 + r (1 - v)) / v), evaluated in the scalar sampler's order
         np.subtract(1.0, v, out=f)
         np.multiply(r, f, out=f)
@@ -146,40 +161,62 @@ class _DigitLanes:
         np.divide(1.0, r, out=r)
         return self.a
 
+
+class _RunLanes(_Lanes):
+    """The Lasota-Yorke run chain s; each step is one laminar run and the visit that ends it."""
+
+    __slots__ = ("g",)
+
+    def __init__(self, master_seed: int, trial_indices: np.ndarray):
+        super().__init__(master_seed, trial_indices)
+        self.g = np.empty(len(self.f), dtype=np.float64)
+
     def keep(self, live: np.ndarray) -> None:
-        self.uniforms.keep(live)
-        self.r = self.r[live]
-        n = len(self.r)
-        self.f = self.f[:n]
-        self.a = self.a[:n]
+        super().keep(live)
+        self.g = self.g[: len(self.f)]
+
+    def step(self) -> np.ndarray:
+        """Draw one run per lane; returns the gaps ``run + 1`` between visits in ``a``."""
+        v = self.uniforms.draw()
+        s, f, g = self.state, self.f, self.g
+        # run = floor((1 + s) (1 - v) / v), evaluated in this order
+        np.add(1.0, s, out=f)
+        np.subtract(1.0, v, out=g)
+        np.multiply(f, g, out=f)
+        np.divide(f, v, out=f)
+        np.floor(f, out=f)
+        np.copyto(self.a, f, casting="unsafe")
+        np.add(self.a, 1, out=self.a)
+        # s = (s + run)/(s + run + 2)
+        np.add(s, f, out=s)
+        np.add(s, 2.0, out=g)
+        np.divide(s, g, out=s)
+        return self.a
 
 
-def digit_sum_crossings(
-    master_seed: int,
-    trial_indices: np.ndarray,
-    horizons: Sequence[int],
-) -> np.ndarray:
-    """X_n = max{S_k <= n} for every trial and every horizon, vectorized.
+def _increasing(values: Sequence[int], what: str) -> np.ndarray:
+    """``values`` as an int64 array, checked to be strictly increasing positive integers."""
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.ndim != 1 or len(arr) == 0 or np.any(np.diff(arr) <= 0) or arr[0] < 1:
+        raise ValueError(f"{what} must be strictly increasing positive integers")
+    return arr
 
-    Each trial draws digits until its sum passes the largest horizon; the
-    value recorded at a horizon is the last sum not exceeding it.  Returns
-    an int64 array of shape (trials, len(horizons)); horizons must be
-    strictly increasing.
+
+def _last_sums(lanes: _Lanes, start: int, hz: np.ndarray) -> np.ndarray:
+    """max{S_k <= h} for every lane and horizon h: S_0 = start, S_k adds step k.
+
+    Each lane steps until its sum passes the largest horizon.  Returns an
+    int64 array of shape (lanes, horizons).
     """
-    hz = np.asarray(horizons, dtype=np.int64)
-    if hz.ndim != 1 or len(hz) == 0 or np.any(np.diff(hz) <= 0) or hz[0] < 1:
-        raise ValueError("horizons must be strictly increasing positive integers")
     n_h = len(hz)
-    trials = np.asarray(trial_indices, dtype=np.uint64)
-    n_t = len(trials)
+    n_t = len(lanes.state)
     x_out = np.zeros((n_t, n_h), dtype=np.int64)
 
-    # retired trials point one past the last horizon and can never cross it
+    # retired lanes point one past the last horizon and can never cross it
     hz_ext = np.concatenate((hz, [np.iinfo(np.int64).max]))
 
-    lanes = _DigitLanes(master_seed, trials)
     idx = np.arange(n_t)
-    s = np.zeros(n_t, dtype=np.int64)
+    s = np.full(n_t, start, dtype=np.int64)
     s_new = np.empty(n_t, dtype=np.int64)
     next_h = np.zeros(n_t, dtype=np.int64)
     thr = np.full(n_t, hz[0])  # hz_ext[next_h], the sum a lane must pass next
@@ -211,6 +248,22 @@ def digit_sum_crossings(
     return x_out
 
 
+def digit_sum_crossings(
+    master_seed: int,
+    trial_indices: np.ndarray,
+    horizons: Sequence[int],
+) -> np.ndarray:
+    """X_n = max{S_k <= n} for every trial and every horizon, vectorized.
+
+    Each trial draws digits until its sum passes the largest horizon; the
+    value recorded at a horizon is the last sum not exceeding it.  Returns
+    an int64 array of shape (trials, len(horizons)); horizons must be
+    strictly increasing.
+    """
+    hz = _increasing(horizons, "horizons")
+    return _last_sums(_DigitLanes(master_seed, trial_indices), 0, hz)
+
+
 def digit_sums_at(
     master_seed: int,
     trial_indices: np.ndarray,
@@ -221,13 +274,10 @@ def digit_sums_at(
     Returns an int64 array of shape (trials, len(checkpoints)); checkpoints
     must be strictly increasing.
     """
-    cps = np.asarray(checkpoints, dtype=np.int64)
-    if cps.ndim != 1 or len(cps) == 0 or np.any(np.diff(cps) <= 0) or cps[0] < 1:
-        raise ValueError("checkpoints must be strictly increasing positive integers")
-    trials = np.asarray(trial_indices, dtype=np.uint64)
-    lanes = _DigitLanes(master_seed, trials)
-    s = np.zeros(len(trials), dtype=np.int64)
-    out = np.zeros((len(trials), len(cps)), dtype=np.int64)
+    cps = _increasing(checkpoints, "checkpoints")
+    lanes = _DigitLanes(master_seed, trial_indices)
+    s = np.zeros(len(lanes.state), dtype=np.int64)
+    out = np.zeros((len(s), len(cps)), dtype=np.int64)
     k = 0
     for j, cp in enumerate(cps.tolist()):
         while k < cp:
@@ -244,45 +294,12 @@ def ly_last_visits(
 ) -> np.ndarray:
     """Time of the last visit to (1/2, 1] within [0, n] for the Lasota-Yorke map.
 
-    Vectorized over trials; one uniform per laminar run.  Returns an int64
-    array of shape (trials, len(horizons)) holding the last visit time not
-    exceeding each horizon, or -1 when the orbit has not visited by then.
+    Vectorized over trials; one uniform per laminar run.  Visits happen at
+    the partial sums of the gaps ``run + 1`` started at -1, so this is the
+    crossing scan of :func:`digit_sum_crossings` on the run chain.  Returns
+    an int64 array of shape (trials, len(horizons)) holding the last visit
+    time not exceeding each horizon, or -1 when the orbit has not visited
+    by then.
     """
-    hz = np.asarray(horizons, dtype=np.int64)
-    if hz.ndim != 1 or len(hz) == 0 or np.any(np.diff(hz) <= 0) or hz[0] < 1:
-        raise ValueError("horizons must be strictly increasing positive integers")
-    n_max = int(hz[-1])
-    trials = np.asarray(trial_indices, dtype=np.uint64)
-    n_t = len(trials)
-    last = np.full((n_t, len(hz)), -1, dtype=np.int64)
-
-    idx = np.arange(n_t)
-    keys = stream_keys_np(master_seed, trials)
-    shape = np.zeros(n_t, dtype=np.float64)
-    t = np.zeros(n_t, dtype=np.int64)
-    counter = np.zeros(n_t, dtype=np.uint64)
-
-    while len(idx):
-        v = uniforms_np(keys, counter)
-        run = np.floor((1.0 + shape) * (1.0 - v) / v).astype(np.int64)
-        hit = t + run
-        for j, h in enumerate(hz.tolist()):
-            # hit >= 0 guards retired trials whose clocks keep advancing
-            mask = (hit >= 0) & (hit <= h)
-            if np.any(mask):
-                last[idx[mask], j] = hit[mask]
-        after = shape + run.astype(np.float64)
-        shape = after / (after + 2.0)
-        t = hit + 1
-        counter += np.uint64(1)
-        live = hit <= n_max
-        n_live = int(np.count_nonzero(live))
-        if n_live == 0:
-            break
-        if n_live < 0.7 * len(idx):
-            idx = idx[live]
-            keys = keys[live]
-            shape = shape[live]
-            t = t[live]
-            counter = counter[live]
-    return last
+    hz = _increasing(horizons, "horizons")
+    return _last_sums(_RunLanes(master_seed, trial_indices), -1, hz)

@@ -69,10 +69,6 @@ class GridFunction:
     def __call__(self, x):
         return np.interp(x, self.mesh, self.values)
 
-    @classmethod
-    def from_callable(cls, fn: Density, mesh: np.ndarray) -> "GridFunction":
-        return cls(mesh, np.asarray(fn(mesh), dtype=np.float64).copy())
-
 
 def farey_mesh(
     size: int = MESH_SIZE,

@@ -280,6 +280,7 @@ def test_criterion_12_ly_uniform_law():
 def test_criterion_13_determinism(tmp_path):
     from cfrenewal.cli import main as cli_main
 
+    # 9000 trials make two 8192-trial chunks, so --workers 2 really starts a pool
     outs = []
     for tag, workers in (("a", "1"), ("b", "2"), ("c", "1")):
         stem = tmp_path / f"det_{tag}"
@@ -287,7 +288,7 @@ def test_criterion_13_determinism(tmp_path):
             [
                 "simulate",
                 "--seed", "7",
-                "--trials", "4000",
+                "--trials", "9000",
                 "--n", "1000",
                 "--n", "10000",
                 "--workers", workers,

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cfrenewal.experiments import (
     ExperimentConfig,
+    _digit_sums_parallel,
     fluctuation_samples,
     run_diamond_vaaler,
     run_khinchin,
@@ -18,6 +21,7 @@ from cfrenewal.experiments import (
     tail_reports_from_samples,
     uniform_law_from_samples,
 )
+from cfrenewal.sampling import digit_sums_at
 from cfrenewal.stats import EmpiricalDistribution, ks_uniform
 
 
@@ -47,6 +51,22 @@ def test_worker_count_is_observationally_irrelevant():
         ExperimentConfig(master_seed=17, trials=6000, horizons=(1000,), chunk_size=1024, workers=2)
     ).x_values
     assert np.array_equal(x1, x2)
+    # the Lasota-Yorke law and both passes of the stable law, over several chunks
+    small = replace(base, trials=2000, horizons=(300, 3000), k_pair=(200, 2000), chunk_size=512)
+    ly1, ly2 = (run_ly_uniform_law(replace(small, workers=w)) for w in (1, 2))
+    assert np.array_equal(ly1.last_visits, ly2.last_visits) and ly1.ks == ly2.ks
+    st1, st2 = (run_stable_stability(replace(small, workers=w)) for w in (1, 2))
+    for e1, e2 in zip(st1.samples, st2.samples):
+        assert np.array_equal(e1.values, e2.values)
+
+
+def test_chunk_driver_offset_pass_equals_direct_sums():
+    cfg = ExperimentConfig(master_seed=9, trials=2500, chunk_size=1000)
+    k = 300
+    direct = digit_sums_at(9, np.arange(cfg.trials, 2 * cfg.trials, dtype=np.uint64), (k,))
+    for workers in (1, 2):
+        got = _digit_sums_parallel(replace(cfg, workers=workers), (k,), offset=cfg.trials)
+        assert np.array_equal(got, direct)
 
 
 def test_chunk_size_does_not_change_results():
@@ -131,7 +151,6 @@ def test_weak_law_within_fraction_grows_with_n():
 
 def test_stable_identical_configurations_give_zero_ks():
     # same seeds and equal horizons: the two sample sets coincide trial-wise
-    from cfrenewal.sampling import digit_sums_at
     from cfrenewal.stats import ks_two_sample
 
     k = 500

@@ -8,8 +8,10 @@ from math import gcd, log
 
 import pytest
 
+from cfrenewal.bits import BitSource
 from cfrenewal.exact import DigitStream, digits_of_rational
 from cfrenewal.farey import (
+    LazyOrbit,
     entry_time,
     farey_orbit,
     farey_step,
@@ -230,6 +232,44 @@ def test_lazy_orbit_consistency_with_first_return():
             gap += 1
         stream = DigitStream.from_seed(707, trial)
         assert gap == stream.digit(2)
+
+
+class _FullGcdOrbit(LazyOrbit):
+    """A lazy orbit whose step composes by hand and divides out the full gcd every time."""
+
+    factors = 0  # steps on which the gcd was above 1
+
+    def step(self):
+        right = self._resolve_branch()
+        al, be, ga, de = self.right if right else self.left
+        st = self.state
+        a, b, c, d = st.a, st.b, st.c, st.d
+        a, b, c, d = al * a + be * c, al * b + be * d, ga * a + de * c, ga * b + de * d
+        if d < 0 or c + d < 0:
+            a, b, c, d = -a, -b, -c, -d
+        g = gcd(gcd(a, b), gcd(c, d))
+        self.factors += g > 1
+        st.a, st.b, st.c, st.d = a // g, b // g, c // g, d // g
+        self.time += 1
+        return right
+
+
+@pytest.mark.parametrize("make", [farey_orbit, ly_orbit])
+def test_lazy_orbit_equals_full_gcd_walk(make):
+    # the parity-gated normalization of MobiusState.compose leaves the same
+    # states as a full gcd after every step, for both kinds of orbit
+    factors = 0
+    for stream in range(10):
+        orbit = make(31, stream)
+        ref = _FullGcdOrbit(BitSource(31, stream), orbit.left, orbit.right)
+        for _ in range(2000):
+            assert orbit.step() == ref.step()
+            st, rs = orbit.state, ref.state
+            assert (st.a, st.b, st.c, st.d) == (rs.a, rs.b, rs.c, rs.d)
+            assert orbit.bits_consumed == ref.bits_consumed
+        factors += ref.factors
+    # the doubling branch of the Lasota-Yorke map does leave common factors
+    assert factors > 0 if make is ly_orbit else factors == 0
 
 
 def test_renewal_trace_invariants_random():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cfrenewal import sampling
+from cfrenewal.bits import block64, stream_key, uniform_from_block
 from cfrenewal.exact import DigitStream
 from cfrenewal.experiments import ExperimentConfig, fluctuation_samples
 from cfrenewal.farey import ly_orbit, ly_spent_time
@@ -81,13 +82,48 @@ def test_crossings_equal_scalar_walk_through_compaction(monkeypatch):
         assert x[t].tolist() == _scalar_crossings(17, t, horizons)
 
 
+def _scalar_last_visits(seed: int, trial: int, horizons) -> list[int]:
+    """Last Lasota-Yorke visit time <= n for each horizon, one laminar run per block."""
+    key = stream_key(seed, trial)
+    s, t, j, out = 0.0, -1, 0, []
+    for h in horizons:
+        while True:
+            v = uniform_from_block(block64(key, j))
+            run = int((1.0 + s) * (1.0 - v) / v)
+            if t + run + 1 > h:
+                break
+            j += 1
+            after = s + run
+            s = after / (after + 2.0)
+            t += run + 1
+        out.append(t)
+    return out
+
+
+def test_ly_last_visits_equal_scalar_walk_through_compaction(monkeypatch):
+    horizons = (5, 50, 500, 5000)
+    trials = 400
+    kept = []
+    keep = sampling._RunLanes.keep
+
+    def counting_keep(lanes, live):
+        kept.append(len(live))
+        keep(lanes, live)
+
+    monkeypatch.setattr(sampling._RunLanes, "keep", counting_keep)
+    last = ly_last_visits(17, np.arange(trials, dtype=np.uint64), horizons)
+    assert len(kept) >= 3 and kept[0] == trials
+    for t in range(trials):
+        assert last[t].tolist() == _scalar_last_visits(17, t, horizons)
+
+
 def test_rows_independent_of_neighbouring_lanes():
     trials = 300
     horizons = (5, 50, 500, 5000)
     cps = (3, 40, 200)
     both = np.arange(2 * trials, dtype=np.uint64)
     order = np.random.default_rng(4).permutation(trials).astype(np.uint64)
-    for run, args in ((digit_sum_crossings, horizons), (digit_sums_at, cps)):
+    for run, args in ((digit_sum_crossings, horizons), (digit_sums_at, cps), (ly_last_visits, horizons)):
         base = run(23, both, args)
         # shuffled lanes, the offset block t + trials, and lone lanes
         assert np.array_equal(run(23, order, args), base[order])
