@@ -260,6 +260,8 @@ def cmd_expand(args) -> int:
         raise UsageError("expand needs exactly one of --seed, --rational, --constant")
     if args.count < 1:
         raise UsageError("--count must be >= 1")
+    if args.refine_cap < 1:
+        raise UsageError("--refine-cap must be >= 1")
     if args.rational:
         try:
             p_str, q_str = args.rational.split("/")
@@ -460,10 +462,10 @@ def cmd_operator(args) -> int:
 def cmd_classic(args) -> int:
     which = args.which
     seed = args.seed if args.seed is not None else 1
-    trials = args.trials or 10_000
-    workers = args.workers or 1
+    trials = 10_000 if args.trials is None else args.trials
+    workers = 1 if args.workers is None else args.workers
     if which == "khinchin":
-        cfg = ExperimentConfig(master_seed=seed, checkpoints=_checkpoints(args))
+        cfg = ExperimentConfig(master_seed=seed, trials=trials, checkpoints=_checkpoints(args), workers=workers)
         report = run_khinchin(cfg)
         summary = {
             "experiment": "khinchin",
@@ -474,7 +476,7 @@ def cmd_classic(args) -> int:
         rows = [(r["k"], r["geometric_mean"]) for r in report.records]
         header = ["k", "geometric_mean"]
     elif which == "diamond-vaaler":
-        cfg = ExperimentConfig(master_seed=seed, checkpoints=_checkpoints(args))
+        cfg = ExperimentConfig(master_seed=seed, trials=trials, checkpoints=_checkpoints(args), workers=workers)
         report = run_diamond_vaaler(cfg)
         summary = {
             "experiment": "diamond-vaaler",

@@ -51,6 +51,10 @@ class ExperimentConfig:
             raise ValueError("every horizon must be >= 2")
         if any(not 0.0 < e < 1.0 for e in self.epsilons):
             raise ValueError("epsilons must lie in (0, 1)")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.refine_cap < 1:
+            raise ValueError("refine_cap must be >= 1")
         if self.digit_source not in ("sampled", "exact"):
             raise ValueError("digit_source must be 'sampled' or 'exact'")
 

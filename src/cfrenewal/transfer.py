@@ -162,17 +162,22 @@ class TransferPlan:
     """Precomputed interpolation plan for fast repeated transfer applications.
 
     For a fixed mesh, f(x/(1+x)) and f(1/(1+x)) are gathers with constant
-    indices and weights, so one application reduces to four gathers and a
-    handful of vector operations.
+    indices and weights, so one application reduces to one stacked gather of
+    the ``i0, i1, i0+1, i1+1`` indices and four vector operations.  The
+    weights ``1-w0, 1-w1, w0, w1`` and the fronts ``1/(1+x), x/(1+x)`` are
+    rows of one float block, and every element is computed in the same order
+    as ``front*(v[i0]*(1-w0) + v[i0+1]*w0) + xfront*(...)``.
     """
 
     def __init__(self, mesh: np.ndarray):
         self.mesh = mesh
         x = mesh
-        self._i0, self._w0 = self._locate(x / (1.0 + x))
-        self._i1, self._w1 = self._locate(1.0 / (1.0 + x))
-        self._front = 1.0 / (1.0 + x)
-        self._xfront = x / (1.0 + x)
+        i0, w0 = self._locate(x / (1.0 + x))
+        i1, w1 = self._locate(1.0 / (1.0 + x))
+        self._idx = np.stack((i0, i1, i0 + 1, i1 + 1))
+        block = np.stack((1.0 - w0, 1.0 - w1, w0, w1, 1.0 / (1.0 + x), x / (1.0 + x)))
+        self._w = block[:4]
+        self._front = block[4:]
 
     def _locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mesh = self.mesh
@@ -183,9 +188,12 @@ class TransferPlan:
         return idx, w
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        v0 = values[self._i0] * (1.0 - self._w0) + values[self._i0 + 1] * self._w0
-        v1 = values[self._i1] * (1.0 - self._w1) + values[self._i1 + 1] * self._w1
-        return self._front * v0 + self._xfront * v1
+        g = values[self._idx]
+        g *= self._w
+        h = g[:2]
+        np.add(h, g[2:], out=h)
+        h *= self._front
+        return h[0] + h[1]
 
     def iterate(self, values: np.ndarray, count: int) -> np.ndarray:
         v = values

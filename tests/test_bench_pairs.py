@@ -1,0 +1,49 @@
+"""The pair runner's seed parsing, pair statistics and claim rule."""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_seed_lists_and_workload_arguments():
+    assert bench_pairs.seed_list("701-704") == [701, 702, 703, 704]
+    assert bench_pairs.seed_list("5,9-10,3") == [5, 9, 10, 3]
+    assert bench_pairs.workload_seeds("operator-trace:7") == ("operator-trace", [7])
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.workload_seeds("operator-trace")
+
+
+def test_compare_counts_wins_and_flags_the_bound():
+    parent, change = [1.0, 1.2, 0.9, 1.1], [0.6, 1.2, 0.5, 0.7]
+    result = bench_pairs.compare(parent, change, lower_is_better=True, bound=0.25)
+    assert result["change_wins"] == 3  # the tied pair counts for neither side
+    assert result["parent"]["median"] == pytest.approx(1.05)
+    assert result["median_change_rel"] == pytest.approx(0.65 / 1.05 - 1)
+    assert not result["worse_than_bound"]
+    assert bench_pairs.compare([1.0, 1.0], [1.3, 1.3], True, 0.25)["worse_than_bound"]
+    assert not bench_pairs.compare([1.0, 1.0], [1.3, 1.3], False, 0.25)["worse_than_bound"]
+
+
+def test_claim_needs_nine_tenths_of_pairs_and_more_than_the_parent_iqr():
+    parent = [1.0 + 0.01 * k for k in range(10)]
+    faster = [v - 0.3 for v in parent]
+    verdict = bench_pairs.claim_verdict(bench_pairs.compare(parent, faster, True, 0.25), True)
+    assert verdict["met"] and verdict["wins"] == "10/10"
+    # nine wins of ten still hold; eight do not
+    nine = faster[:9] + [parent[9]]
+    assert bench_pairs.claim_verdict(bench_pairs.compare(parent, nine, True, 0.25), True)["met"]
+    eight = faster[:8] + parent[8:]
+    assert not bench_pairs.claim_verdict(bench_pairs.compare(parent, eight, True, 0.25), True)["met"]
+    # every pair won, but by less than the spread of the parent's own runs
+    slight = [v - 0.01 for v in parent]
+    assert not bench_pairs.claim_verdict(bench_pairs.compare(parent, slight, True, 0.25), True)["met"]

@@ -239,6 +239,30 @@ def test_config_rejected_where_not_read(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("out.*"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--trials", "10", "--n", "100", "--workers", "-3"),
+        ("tail", "--trials", "10", "--n", "100", "--workers", "-1"),
+        ("classic", "--which", "ly", "--trials", "10", "--n", "100", "--workers", "0"),
+        ("classic", "--which", "khinchin", "--n", "1000", "--workers", "0"),
+        ("classic", "--which", "diamond-vaaler", "--n", "1000", "--trials", "0"),
+        ("classic", "--which", "weak-law", "--n", "100", "--trials", "0"),
+        ("simulate", "--trials", "10", "--n", "100", "--source", "exact", "--refine-cap", "0"),
+        ("simulate", "--trials", "10", "--n", "100", "--source", "exact", "--refine-cap", "-5"),
+        ("expand", "--seed", "1", "--refine-cap", "0"),
+    ],
+)
+def test_counts_below_one_exit_2(tmp_path, capsys, argv):
+    # a worker count, trial count or refinement cap below 1 is a usage error,
+    # not a serial run, a default, or a failed resampling round
+    out = tmp_path / "out"
+    code, _ = run_cli(*argv, "--out", str(out))
+    assert code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out.*"))
+
+
 def test_cli_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cfrenewal.cli", "expand", "--constant", "sqrt2", "--count", "3"],

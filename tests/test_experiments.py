@@ -34,6 +34,9 @@ def test_config_validation():
         ExperimentConfig(epsilons=(0.0,))
     with pytest.raises(ValueError):
         ExperimentConfig(digit_source="float")
+    for bad in ({"workers": 0}, {"workers": -3}, {"refine_cap": 0}, {"refine_cap": -5}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ExperimentConfig(**bad)
 
 
 def test_runs_are_pure_functions_of_config():

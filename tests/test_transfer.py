@@ -115,6 +115,63 @@ def test_cone_check_examples():
     assert cone_check(convex).max_second_difference > 0
 
 
+def _four_gather_apply(mesh):
+    """The plan's formula with four separate gathers and per-call weights."""
+
+    def locate(pts):
+        idx = np.clip(np.searchsorted(mesh, pts, side="right") - 1, 0, len(mesh) - 2)
+        return idx, (pts - mesh[idx]) / (mesh[idx + 1] - mesh[idx])
+
+    i0, w0 = locate(mesh / (1.0 + mesh))
+    i1, w1 = locate(1.0 / (1.0 + mesh))
+    front, xfront = 1.0 / (1.0 + mesh), mesh / (1.0 + mesh)
+
+    def apply(v):
+        v0 = v[i0] * (1.0 - w0) + v[i0 + 1] * w0
+        v1 = v[i1] * (1.0 - w1) + v[i1 + 1] * w1
+        return front * v0 + xfront * v1
+
+    return apply
+
+
+@pytest.mark.parametrize("mesh", [MESH, farey_mesh(64, probes=(0.6, 0.75, 0.9))], ids=["4096", "64"])
+def test_stacked_plan_equals_four_gathers_bit_for_bit(mesh):
+    plan = TransferPlan(mesh)
+    reference = _four_gather_apply(mesh)
+    got = want = ID(mesh)
+    for step in range(1, 2**12 + 1):
+        got, want = plan.apply(got), reference(want)
+        if step & (step - 1) == 0:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), step
+
+
+def test_apply_returns_fresh_array_and_keeps_its_input():
+    plan = TransferPlan(MESH)
+    values = ID(MESH)
+    kept = values.copy()
+    first = plan.apply(values)
+    first_kept = first.copy()
+    second = plan.apply(values)
+    plan.apply(first)
+    assert np.array_equal(values, kept)
+    assert np.array_equal(first, first_kept) and np.array_equal(first, second)
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, values)
+
+
+def test_iterate_calls_apply_once_per_step(monkeypatch):
+    calls = []
+    apply = TransferPlan.apply
+
+    def counting(self, values):
+        calls.append(len(values))
+        return apply(self, values)
+
+    monkeypatch.setattr(TransferPlan, "apply", counting)
+    plan = TransferPlan(MESH)
+    plan.iterate(ID(MESH), 37)
+    assert calls == [len(MESH)] * 37
+
+
 def test_cone_preserved_along_iteration():
     plan = TransferPlan(MESH)
     values = ID(MESH)
