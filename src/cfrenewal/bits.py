@@ -121,7 +121,8 @@ class UniformLanes:
     Lane i holds the counter ``keys[i] + (j+1)*GOLDEN`` of its next block j,
     advanced by one wrapping add per draw, so the j-th call of :meth:`draw`
     returns ``uniforms_np(keys, j)`` without allocating.  :meth:`keep`
-    drops lanes; the kept lanes continue their own streams.
+    drops lanes, and the kept lanes continue their own streams;
+    :meth:`restart` puts new streams on some lanes, from their block 0.
     """
 
     __slots__ = ("counter", "out", "_block", "_scratch")
@@ -146,6 +147,10 @@ class UniformLanes:
         self._block = self._block[:n]
         self._scratch = self._scratch[:n]
         self.out = self.out[:n]
+
+    def restart(self, slots: np.ndarray, keys: np.ndarray) -> None:
+        """Put the streams ``keys`` on the lanes ``slots``; their next draw is block 0."""
+        self.counter[slots] = np.add(keys, _NP_GOLDEN, dtype=np.uint64)
 
 
 class BitSource:

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import exp, log
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -464,9 +464,16 @@ def cmd_classic(args) -> int:
     seed = args.seed if args.seed is not None else 1
     trials = 10_000 if args.trials is None else args.trials
     workers = 1 if args.workers is None else args.workers
+    # validated first, so a count below 1 is reported as such for every --which
+    base = ExperimentConfig(master_seed=seed, trials=trials, workers=workers)
+    if which in ("khinchin", "diamond-vaaler") and (args.trials is not None or args.workers is not None):
+        raise UsageError(f"classic --which {which} scans one orbit and takes no --trials or --workers")
+    if which == "weak-law" and args.n and len(args.n) > 1:
+        raise UsageError("classic --which weak-law takes at most one --n")
+    if which == "stable" and args.n and len(args.n) != 2:
+        raise UsageError("classic --which stable takes exactly two --n (k1 and k2)")
     if which == "khinchin":
-        cfg = ExperimentConfig(master_seed=seed, trials=trials, checkpoints=_checkpoints(args), workers=workers)
-        report = run_khinchin(cfg)
+        report = run_khinchin(replace(base, checkpoints=_checkpoints(args)))
         summary = {
             "experiment": "khinchin",
             "target": report.target,
@@ -476,8 +483,7 @@ def cmd_classic(args) -> int:
         rows = [(r["k"], r["geometric_mean"]) for r in report.records]
         header = ["k", "geometric_mean"]
     elif which == "diamond-vaaler":
-        cfg = ExperimentConfig(master_seed=seed, trials=trials, checkpoints=_checkpoints(args), workers=workers)
-        report = run_diamond_vaaler(cfg)
+        report = run_diamond_vaaler(replace(base, checkpoints=_checkpoints(args)))
         summary = {
             "experiment": "diamond-vaaler",
             "target": report.target,
@@ -488,9 +494,7 @@ def cmd_classic(args) -> int:
         rows = [(r["k"], r["trimmed_ratio"], r["relative_deviation"]) for r in report.records]
         header = ["k", "trimmed_ratio", "relative_deviation"]
     elif which == "weak-law":
-        n = args.n[0] if args.n else 10_000
-        cfg = ExperimentConfig(master_seed=seed, trials=trials, n=n, workers=workers)
-        report = run_weak_law(cfg)
+        report = run_weak_law(replace(base, n=args.n[0] if args.n else 10_000))
         summary = {
             "experiment": "weak-law",
             "n": report.n,
@@ -502,9 +506,7 @@ def cmd_classic(args) -> int:
         rows = [(report.n, report.median, report.target)]
         header = ["n", "median", "target"]
     elif which == "stable":
-        k_pair = tuple(sorted(args.n)) if args.n and len(args.n) == 2 else (10_000, 100_000)
-        cfg = ExperimentConfig(master_seed=seed, trials=trials, k_pair=k_pair, workers=workers)
-        report = run_stable_stability(cfg)
+        report = run_stable_stability(replace(base, k_pair=tuple(sorted(args.n)) if args.n else (10_000, 100_000)))
         summary = {
             "experiment": "stable",
             "k1": report.k1,
@@ -516,9 +518,7 @@ def cmd_classic(args) -> int:
         rows = [(report.k1, report.k2, report.ks)]
         header = ["k1", "k2", "ks"]
     elif which == "ly":
-        horizons = tuple(sorted(set(args.n))) if args.n else (100_000,)
-        cfg = ExperimentConfig(master_seed=seed, trials=trials, horizons=horizons, workers=workers)
-        report = run_ly_uniform_law(cfg)
+        report = run_ly_uniform_law(replace(base, horizons=tuple(sorted(set(args.n))) if args.n else (100_000,)))
         summary = {
             "experiment": "ly-uniform-law",
             "horizons": list(report.horizons),

@@ -1,11 +1,13 @@
 """Monte Carlo and single-orbit experiments for the digit-sum limit laws.
 
 Every run is a pure function of its configuration: trial t draws all of its
-randomness from stream t of the master seed, chunk boundaries are fixed, and
-chunk results are merged in index order, so outputs are identical for any
-worker count.  Trials of the certified digit source that hit a non-generic
-point are resampled at stream index t + trials (and counted); the sampled
-source cannot produce one.
+randomness from stream t of the master seed.  A serial run hands all trials
+to one call, and the samplers scan them on one lane pool; only a process
+pool splits them, into chunks with fixed boundaries whose results are merged
+in index order, so outputs are identical for any worker count.  Trials of
+the certified digit source that hit a non-generic point are resampled at
+stream index t + trials (and counted); the sampled source cannot produce
+one.
 """
 
 from __future__ import annotations
@@ -82,20 +84,26 @@ class FluctuationSamples:
 
 
 def _map_chunks(fn, cfg: ExperimentConfig, *args, offset: int = 0) -> list:
-    """``fn(seed, trial_indices, *args)`` on every chunk of trials, results in index order.
+    """``fn(seed, trial_indices, *args)`` over all trials, results in index order.
 
-    Chunk boundaries depend only on ``cfg.trials`` and ``cfg.chunk_size``;
-    trial t runs as trial ``offset + t``.  With more than one worker and
-    more than one chunk the chunks run on a process pool.
+    Trial t runs as trial ``offset + t``.  With one worker, or trials for
+    only one chunk, ``fn`` runs once on all trials; otherwise the chunks of
+    ``cfg.chunk_size`` trials, whose boundaries depend only on ``cfg.trials``
+    and ``cfg.chunk_size``, run on a process pool.
     """
+    if cfg.workers <= 1 or cfg.trials <= cfg.chunk_size:
+        return [fn(cfg.master_seed, np.arange(offset, offset + cfg.trials, dtype=np.uint64), *args)]
     jobs = []
     for lo in range(0, cfg.trials, cfg.chunk_size):
         hi = min(lo + cfg.chunk_size, cfg.trials)
         jobs.append((cfg.master_seed, np.arange(offset + lo, offset + hi, dtype=np.uint64), *args))
-    if cfg.workers <= 1 or len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
     with get_context("fork").Pool(min(cfg.workers, len(jobs))) as pool:
         return pool.starmap(fn, jobs)
+
+
+def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
+    """The row blocks of :func:`_map_chunks` as one array; a serial run's one block is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 def _sampled_chunk(seed: int, trial_indices: np.ndarray, horizons: tuple[int, ...]) -> tuple[np.ndarray, int]:
@@ -132,7 +140,7 @@ def fluctuation_samples(cfg: ExperimentConfig) -> FluctuationSamples:
         parts = _map_chunks(_sampled_chunk, cfg, horizons)
     else:
         parts = _map_chunks(_exact_chunk, cfg, horizons, cfg.refine_cap, cfg.trials)
-    x = np.concatenate([p[0] for p in parts], axis=0)
+    x = _stack_rows([p[0] for p in parts])
     resampled = sum(p[1] for p in parts)
     return FluctuationSamples(horizons=horizons, x_values=x, master_seed=cfg.master_seed, resampled=resampled)
 
@@ -243,7 +251,7 @@ def _sums_chunk(seed: int, trial_indices: np.ndarray, checkpoints: tuple[int, ..
 
 
 def _digit_sums_parallel(cfg: ExperimentConfig, checkpoints: tuple[int, ...], offset: int = 0) -> np.ndarray:
-    return np.concatenate(_map_chunks(_sums_chunk, cfg, checkpoints, offset=offset), axis=0)
+    return _stack_rows(_map_chunks(_sums_chunk, cfg, checkpoints, offset=offset))
 
 
 def run_weak_law(cfg: ExperimentConfig) -> WeakLawReport:
@@ -322,7 +330,7 @@ class LyUniformLawReport:
 def run_ly_uniform_law(cfg: ExperimentConfig) -> LyUniformLawReport:
     """Scaled spent time of the Lasota-Yorke map against U[0, 1]."""
     horizons = tuple(sorted(cfg.horizons))
-    last = np.concatenate(_map_chunks(sampling.ly_last_visits, cfg, horizons), axis=0)
+    last = _stack_rows(_map_chunks(sampling.ly_last_visits, cfg, horizons))
     report = LyUniformLawReport(horizons=horizons, ks=(), never_visited=(), trials=cfg.trials, last_visits=last)
     ks = tuple(ks_uniform(EmpiricalDistribution.from_samples(report.scaled(n))) for n in horizons)
     never_visited = tuple(float(np.mean(col < 0)) for col in last.T)

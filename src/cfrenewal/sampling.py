@@ -25,17 +25,22 @@ One 64-bit block of the trial's keyed bit stream is consumed per draw, so
 results are a pure function of (master_seed, stream_index) and independent
 of scheduling.
 
-The vectorized scans run one lane per trial, in place on
+The vectorized scans run one trial per lane at a time, in place on
 :class:`~cfrenewal.bits.UniformLanes`: ``_DigitLanes`` steps the digit chain
 and ``_RunLanes`` the Lasota-Yorke run chain, each with the scalar sampler's
 operations in its order, so a lane reproduces its trial's scalar chain
-exactly, whatever the other lanes hold and however often retired lanes are
-compacted away.  Both chains answer the same question, the last partial sum
-at or below each horizon, on one crossing scan, ``_last_sums``.  Digit sums
-start at S_0 = 0.  A Lasota-Yorke run of length ``run`` ends with a visit
-to (1/2, 1] and the next run starts one step later, so the visit times are
-the partial sums of the gaps ``run + 1`` started at -1 (the first visit is
-at time run_1), and -1 is left where no visit reaches a horizon.
+exactly, whatever the other lanes hold.  Both chains answer the same
+question, the last partial sum at or below each horizon, on one crossing
+scan, ``_last_sums``.  A serial run hands it all of its trials, and it scans
+them on one pool of at most ``_LANES`` lanes: a lane whose sum has passed
+the last horizon retires, its slot restarts on the next pending trial, and
+retired lanes are compacted away once no trial is pending, so a run has one
+tail of sparsely filled steps instead of one per chunk (chunks exist only
+for worker processes).  Digit sums start at S_0 = 0.  A Lasota-Yorke run of
+length ``run`` ends with a visit to (1/2, 1] and the next run starts one
+step later, so the visit times are the partial sums of the gaps ``run + 1``
+started at -1 (the first visit is at time run_1), and -1 is left where no
+visit reaches a horizon.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import numpy as np
 from .bits import UniformLanes, block64, stream_key, stream_keys_np, uniform_from_block, uniforms_np
 
 _CHUNK = 1 << 14
+_LANES = 1 << 14  # lanes in one crossing pool or one lockstep block
 
 
 def sampled_digits(master_seed: int, stream_index: int) -> Iterator[int]:
@@ -115,17 +121,19 @@ def orbit_checkpoints(
 
 
 class _Lanes:
-    """One sampled chain per trial: lane i runs trial ``trial_indices[i]``.
+    """One sampled chain per lane, each lane running one trial of ``master_seed``.
 
-    ``state`` is the chain's parameter, 0 at the start; a subclass's
+    ``state`` is the chain's parameter, 0 at a trial's start; a subclass's
     ``step`` draws every lane's next increment into ``a``.  Buffers are
-    allocated once; :meth:`keep` drops retired lanes.
+    allocated once; :meth:`keep` drops retired lanes and :meth:`restart`
+    starts new trials on them.
     """
 
-    __slots__ = ("uniforms", "state", "f", "a")
+    __slots__ = ("master_seed", "uniforms", "state", "f", "a")
 
     def __init__(self, master_seed: int, trial_indices: np.ndarray):
         trials = np.asarray(trial_indices, dtype=np.uint64)
+        self.master_seed = master_seed
         self.uniforms = UniformLanes(stream_keys_np(master_seed, trials))
         n = len(trials)
         self.state = np.zeros(n, dtype=np.float64)
@@ -138,6 +146,11 @@ class _Lanes:
         n = len(self.state)
         self.f = self.f[:n]
         self.a = self.a[:n]
+
+    def restart(self, slots: np.ndarray, trial_indices: np.ndarray) -> None:
+        """Start trials ``trial_indices`` on the lanes ``slots``, from the chain's start."""
+        self.uniforms.restart(slots, stream_keys_np(self.master_seed, trial_indices))
+        self.state[slots] = 0.0
 
 
 class _DigitLanes(_Lanes):
@@ -202,26 +215,35 @@ def _increasing(values: Sequence[int], what: str) -> np.ndarray:
     return arr
 
 
-def _last_sums(lanes: _Lanes, start: int, hz: np.ndarray) -> np.ndarray:
-    """max{S_k <= h} for every lane and horizon h: S_0 = start, S_k adds step k.
+def _last_sums(
+    lane_cls: type[_Lanes], master_seed: int, trial_indices: np.ndarray, start: int, hz: np.ndarray
+) -> np.ndarray:
+    """max{S_k <= h} for every trial and horizon h: S_0 = start, S_k adds step k.
 
-    Each lane steps until its sum passes the largest horizon.  Returns an
-    int64 array of shape (lanes, horizons).
+    The trials run on one pool of at most ``_LANES`` lanes of ``lane_cls``,
+    each stepping until its sum passes the largest horizon.  Once at least
+    1/64 of the lanes have retired at a step, the next pending trials
+    restart on their slots; once none are pending, retired lanes are
+    compacted away instead.  Returns an int64 array of shape (trials,
+    horizons).
     """
-    n_h = len(hz)
-    n_t = len(lanes.state)
+    trials = np.asarray(trial_indices, dtype=np.uint64)
+    n_t, n_h = len(trials), len(hz)
     x_out = np.zeros((n_t, n_h), dtype=np.int64)
+    n = min(n_t, _LANES)
+    lanes = lane_cls(master_seed, trials[:n])
 
     # retired lanes point one past the last horizon and can never cross it
     hz_ext = np.concatenate((hz, [np.iinfo(np.int64).max]))
 
-    idx = np.arange(n_t)
-    s = np.full(n_t, start, dtype=np.int64)
-    s_new = np.empty(n_t, dtype=np.int64)
-    next_h = np.zeros(n_t, dtype=np.int64)
-    thr = np.full(n_t, hz[0])  # hz_ext[next_h], the sum a lane must pass next
-    crossed = np.empty(n_t, dtype=bool)
-    n_live = n_t
+    idx = np.arange(n)  # the trial, a row of x_out, that each lane runs
+    pending = n  # the next trial to start
+    s = np.full(n, start, dtype=np.int64)
+    s_new = np.empty(n, dtype=np.int64)
+    next_h = np.zeros(n, dtype=np.int64)
+    thr = np.full(n, hz[0])  # hz_ext[next_h], the sum a lane must pass next
+    crossed = np.empty(n, dtype=bool)
+    n_live = n
 
     while n_live:
         np.add(s, lanes.step(), out=s_new)
@@ -236,14 +258,26 @@ def _last_sums(lanes: _Lanes, start: int, hz: np.ndarray) -> np.ndarray:
             # the live count only changes on steps where a lane crossed
             live = next_h < n_h
             n_live = int(np.count_nonzero(live))
-            if n_live and n_live < 0.7 * len(idx):
-                lanes.keep(live)
-                idx = idx[live]
-                s_new = s_new[live]
-                next_h = next_h[live]
-                thr = thr[live]
-                s = s[:n_live]
-                crossed = crossed[:n_live]
+            n_lanes = len(idx)
+            if 64 * (n_lanes - n_live) >= n_lanes:
+                if pending < n_t:
+                    slots = np.flatnonzero(~live)[: n_t - pending]
+                    new = np.arange(pending, pending + len(slots))
+                    lanes.restart(slots, trials[new])
+                    idx[slots] = new
+                    s_new[slots] = start
+                    next_h[slots] = 0
+                    thr[slots] = hz[0]
+                    pending += len(slots)
+                    n_live += len(slots)
+                elif n_live:
+                    lanes.keep(live)
+                    idx = idx[live]
+                    s_new = s_new[live]
+                    next_h = next_h[live]
+                    thr = thr[live]
+                    s = s[:n_live]
+                    crossed = crossed[:n_live]
         s, s_new = s_new, s
     return x_out
 
@@ -261,7 +295,7 @@ def digit_sum_crossings(
     strictly increasing.
     """
     hz = _increasing(horizons, "horizons")
-    return _last_sums(_DigitLanes(master_seed, trial_indices), 0, hz)
+    return _last_sums(_DigitLanes, master_seed, trial_indices, 0, hz)
 
 
 def digit_sums_at(
@@ -275,15 +309,18 @@ def digit_sums_at(
     must be strictly increasing.
     """
     cps = _increasing(checkpoints, "checkpoints")
-    lanes = _DigitLanes(master_seed, trial_indices)
-    s = np.zeros(len(lanes.state), dtype=np.int64)
-    out = np.zeros((len(s), len(cps)), dtype=np.int64)
-    k = 0
-    for j, cp in enumerate(cps.tolist()):
-        while k < cp:
-            np.add(s, lanes.step(), out=s)
-            k += 1
-        out[:, j] = s
+    trials = np.asarray(trial_indices, dtype=np.uint64)
+    out = np.zeros((len(trials), len(cps)), dtype=np.int64)
+    # no lane retires early, so the trials run in lockstep blocks of _LANES lanes
+    for lo in range(0, len(trials), _LANES):
+        lanes = _DigitLanes(master_seed, trials[lo : lo + _LANES])
+        s = np.zeros(len(lanes.state), dtype=np.int64)
+        k = 0
+        for j, cp in enumerate(cps.tolist()):
+            while k < cp:
+                np.add(s, lanes.step(), out=s)
+                k += 1
+            out[lo : lo + len(s), j] = s
     return out
 
 
@@ -302,4 +339,4 @@ def ly_last_visits(
     by then.
     """
     hz = _increasing(horizons, "horizons")
-    return _last_sums(_RunLanes(master_seed, trial_indices), -1, hz)
+    return _last_sums(_RunLanes, master_seed, trial_indices, -1, hz)

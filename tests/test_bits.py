@@ -95,3 +95,20 @@ def test_uniform_lanes_equal_uniforms_np():
             keys = keys[live]
         want = uniforms_np(keys, np.full(len(keys), j, dtype=np.uint64))
         assert np.array_equal(lanes.draw(), want)
+
+
+def test_uniform_lanes_restart_starts_new_streams():
+    keys = stream_keys_np(8, np.arange(40, dtype=np.uint64))
+    fresh = stream_keys_np(8, np.arange(100, 105, dtype=np.uint64))
+    lanes = UniformLanes(keys)
+    for _ in range(7):
+        lanes.draw()
+    slots = np.array([3, 4, 17, 30, 39])
+    lanes.restart(slots, fresh)
+    keys = keys.copy()
+    keys[slots] = fresh
+    steps = np.full(len(keys), 7, dtype=np.uint64)
+    steps[slots] = 0
+    for j in range(5):
+        # restarted lanes begin at block 0; the others go on from block 7
+        assert np.array_equal(lanes.draw(), uniforms_np(keys, steps + np.uint64(j)))

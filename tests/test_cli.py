@@ -263,6 +263,28 @@ def test_counts_below_one_exit_2(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("out.*"))
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("classic", "--which", "stable", "--trials", "50", "--n", "500"), "--n"),
+        (("classic", "--which", "stable", "--trials", "50", "--n", "500", "--n", "600", "--n", "700"), "--n"),
+        (("classic", "--which", "weak-law", "--trials", "50", "--n", "100", "--n", "5000"), "--n"),
+        (("classic", "--which", "khinchin", "--n", "1000", "--trials", "5"), "--trials"),
+        (("classic", "--which", "khinchin", "--n", "1000", "--workers", "2"), "--workers"),
+        (("classic", "--which", "diamond-vaaler", "--n", "1000", "--trials", "5"), "--trials"),
+        (("classic", "--which", "diamond-vaaler", "--n", "1000", "--workers", "2"), "--workers"),
+    ],
+)
+def test_classic_flags_it_cannot_honour_exit_2(tmp_path, capsys, argv, flag):
+    # stable needs a pair of digit counts, weak-law one, and the orbit
+    # experiments run a single orbit; anything else would be dropped silently
+    out = tmp_path / "out"
+    code, _ = run_cli(*argv, "--out", str(out))
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.glob("out.*"))
+
+
 def test_cli_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cfrenewal.cli", "expand", "--constant", "sqrt2", "--count", "3"],

@@ -10,6 +10,7 @@ import pytest
 from cfrenewal.experiments import (
     ExperimentConfig,
     _digit_sums_parallel,
+    _map_chunks,
     fluctuation_samples,
     run_diamond_vaaler,
     run_khinchin,
@@ -73,9 +74,24 @@ def test_chunk_driver_offset_pass_equals_direct_sums():
 
 
 def test_chunk_size_does_not_change_results():
-    a = fluctuation_samples(ExperimentConfig(master_seed=4, trials=3000, horizons=(700,), chunk_size=256))
-    b = fluctuation_samples(ExperimentConfig(master_seed=4, trials=3000, horizons=(700,), chunk_size=3000))
-    assert np.array_equal(a.x_values, b.x_values)
+    # a serial run is one call; chunks exist only for worker processes
+    cfg = ExperimentConfig(master_seed=4, trials=4000, horizons=(700,))
+    serial = fluctuation_samples(cfg).x_values
+    for chunk_size in (256, 3000):
+        pooled = fluctuation_samples(replace(cfg, workers=2, chunk_size=chunk_size)).x_values
+        assert np.array_equal(pooled, serial)
+
+
+def test_serial_map_calls_fn_once_on_all_trials():
+    calls = []
+
+    def fn(seed, trial_indices, extra):
+        calls.append((seed, trial_indices.tolist(), extra))
+        return len(trial_indices)
+
+    cfg = ExperimentConfig(master_seed=5, trials=2500, chunk_size=1000)
+    assert _map_chunks(fn, cfg, "x", offset=10) == [2500]
+    assert calls == [(5, list(range(10, 2510)), "x")]
 
 
 def test_degenerate_all_ones_stream_gives_point_mass():

@@ -117,19 +117,54 @@ def test_ly_last_visits_equal_scalar_walk_through_compaction(monkeypatch):
         assert last[t].tolist() == _scalar_last_visits(17, t, horizons)
 
 
-def test_rows_independent_of_neighbouring_lanes():
+def test_refilled_lanes_equal_scalar_walk(monkeypatch):
+    # a 64-lane pool for 1000 trials: retired slots take pending trials, then compact
+    monkeypatch.setattr(sampling, "_LANES", 64)
+    horizons = (5, 50, 500, 5000)
+    trials = np.arange(1000, dtype=np.uint64)
+    for lane_cls, run, scalar in (
+        (sampling._DigitLanes, digit_sum_crossings, _scalar_crossings),
+        (sampling._RunLanes, ly_last_visits, _scalar_last_visits),
+    ):
+        calls = {"restart": 0, "keep": 0}
+        for name in calls:
+            method = getattr(lane_cls, name)
+
+            def counting(lanes, *args, _name=name, _method=method):
+                calls[_name] += 1
+                _method(lanes, *args)
+
+            monkeypatch.setattr(lane_cls, name, counting)
+        out = run(19, trials, horizons)
+        assert calls["restart"] >= 3 and calls["keep"] >= 3
+        for t in range(len(trials)):
+            assert out[t].tolist() == scalar(19, t, horizons)
+
+
+def test_digit_sums_at_lane_blocks_equal_one_block(monkeypatch):
+    trials = np.arange(200, dtype=np.uint64)
+    cps = (3, 40, 200)
+    whole = digit_sums_at(29, trials, cps)
+    monkeypatch.setattr(sampling, "_LANES", 64)  # blocks of 64, 64, 64 and 8 lanes
+    assert np.array_equal(digit_sums_at(29, trials, cps), whole)
+
+
+def test_rows_independent_of_neighbouring_lanes(monkeypatch):
     trials = 300
     horizons = (5, 50, 500, 5000)
     cps = (3, 40, 200)
     both = np.arange(2 * trials, dtype=np.uint64)
     order = np.random.default_rng(4).permutation(trials).astype(np.uint64)
-    for run, args in ((digit_sum_crossings, horizons), (digit_sums_at, cps), (ly_last_visits, horizons)):
-        base = run(23, both, args)
-        # shuffled lanes, the offset block t + trials, and lone lanes
-        assert np.array_equal(run(23, order, args), base[order])
-        assert np.array_equal(run(23, both[trials:], args), base[trials:])
-        for t in (0, 7, trials + 11, 2 * trials - 1):
-            assert np.array_equal(run(23, np.array([t], dtype=np.uint64), args)[0], base[t])
+    # a pool wider than the trials, then one narrower than them, so lanes are refilled
+    for lanes in (sampling._LANES, 64):
+        monkeypatch.setattr(sampling, "_LANES", lanes)
+        for run, args in ((digit_sum_crossings, horizons), (digit_sums_at, cps), (ly_last_visits, horizons)):
+            base = run(23, both, args)
+            # shuffled lanes, the offset block t + trials, and lone lanes
+            assert np.array_equal(run(23, order, args), base[order])
+            assert np.array_equal(run(23, both[trials:], args), base[trials:])
+            for t in (0, 7, trials + 11, 2 * trials - 1):
+                assert np.array_equal(run(23, np.array([t], dtype=np.uint64), args)[0], base[t])
 
 
 def test_digit_sums_at_equal_scalar_walk():
