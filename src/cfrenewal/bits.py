@@ -157,7 +157,9 @@ class BitSource:
     """Sequential view of one keyed bit stream.
 
     Bits are served most-significant-bit first from consecutive 64-bit
-    blocks; ``position`` counts bits already emitted.
+    blocks; ``position`` counts bits already emitted.  :meth:`next_bit` reads
+    one bit; :meth:`pending` and :meth:`skip` let a consumer read the unread
+    rest of a block at once and then take as many of its bits as it used.
     """
 
     __slots__ = ("master_seed", "stream_index", "position", "_key", "_block", "_avail")
@@ -180,9 +182,31 @@ class BitSource:
         self.position += 1
         return (self._block >> self._avail) & 1
 
+    def pending(self) -> tuple[int, int]:
+        """The unread bits of the current block and their count, first bit highest.
+
+        An empty block is refilled first, so the count is between 1 and 64.
+        Nothing is consumed until :meth:`skip`.
+        """
+        if self._avail == 0:
+            self._block = block64(self._key, self.position >> 6)
+            self._avail = 64
+        return self._block & ((1 << self._avail) - 1), self._avail
+
+    def skip(self, count: int) -> None:
+        """Consume the first ``count`` bits that :meth:`pending` returned."""
+        if not 0 <= count <= self._avail:
+            raise ValueError(f"can skip 0..{self._avail} pending bits, not {count}")
+        self._avail -= count
+        self.position += count
+
     def next_bits(self, count: int) -> int:
         """The next ``count`` bits packed into an integer, first bit highest."""
         out = 0
-        for _ in range(count):
-            out = (out << 1) | self.next_bit()
+        while count > 0:
+            bits, avail = self.pending()
+            take = min(avail, count)
+            out = (out << take) | (bits >> (avail - take))
+            self.skip(take)
+            count -= take
         return out

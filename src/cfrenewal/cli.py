@@ -222,8 +222,14 @@ def _echo_config(conf: dict) -> dict:
 
 
 def _merged(args, keys: dict) -> dict:
-    """flags > config file > defaults, echoed as a plain dict."""
+    """flags > config file > defaults, echoed as a plain dict.
+
+    A config-file key that is not one of ``keys`` is a usage error, not ignored.
+    """
     file_conf = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_conf) - set(keys))
+    if unknown:
+        raise UsageError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; {args.command} takes {', '.join(keys)}")
     merged = {}
     for key, (default, cast) in keys.items():
         flag_val = getattr(args, key.replace("-", "_"), None)

@@ -14,6 +14,12 @@ only a power of 2 as a new common factor, and only when ``a`` and ``c`` are
 both even.  The Gauss step therefore normalizes just in that case.  A real
 started from the identity keeps ``gcd(a, c) = 1`` and never normalizes:
 after B bits its entries share no factor and ``|ad - bc| = 2^B``.
+
+Bits are absorbed a block at a time: :meth:`MobiusState.refine` runs one loop
+over the unread bits of the source's current 64-bit block and stops at the
+first bit after which the digit is determined.  Every bit is still counted
+one by one, so ``bits_consumed``, the stream position and the per-digit
+refinement cap are exactly those of a bit-at-a-time walk.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ class MobiusState:
     factor.  Construction normalizes with the full gcd; :meth:`emit`
     normalizes only when ``a`` and ``c`` are both even, the one case in which
     the bits absorbed since the last emit can have left a common factor (see
-    the module docstring).  :meth:`absorb` does not normalize.
+    the module docstring).  :meth:`absorb` and :meth:`refine` do not normalize.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -128,16 +134,47 @@ class MobiusState:
 
     def determined_digit(self) -> Optional[int]:
         """The common integer part of 1/xi on the image interval, if constant."""
-        b, ab = self.b, self.a + self.b
-        if b <= 0 or ab <= 0:
-            return None
-        m = self.d // b
-        if m < 1:
-            return None
-        t = (self.c + self.d) - m * ab
-        if 0 <= t < ab:
-            return m
-        return None
+        return self.refine(0, 0)[0]
+
+    def refine(self, bits: int, count: int) -> tuple[Optional[int], int]:
+        """Absorb the ``count`` bits of ``bits`` (first bit highest) until the digit is determined.
+
+        Returns ``(digit, used)``: the digit, or None if it is still
+        undetermined, and how many bits were absorbed.  The digit is tested
+        before the first bit and after each one, and refinement stops at the
+        first bit after which it holds.  A state whose image has collapsed
+        to the point 0 absorbs no bit.
+
+        The digit is determined when 1/xi has the same integer part m >= 1
+        at both ends of the image, y = 0 and y = 1.  A bit replaces one end
+        by the image of y = 1/2, (a + 2b)/(c + 2d), and keeps the value at
+        the other, so one division per bit keeps both integer parts.  An
+        end where xi <= 0 has integer part -1.
+        """
+        a, b, c, d = self.a, self.b, self.c, self.d
+        m0 = d // b if b > 0 else -1
+        m1 = (c + d) // (a + b) if a + b > 0 else -1
+        if m0 == m1 >= 1:
+            return m0, 0
+        if a == 0 and b == 0:
+            return None, 0
+        used = 0
+        while used < count:
+            used += 1
+            b2 = b + b
+            d2 = d + d
+            num = a + b2
+            den = c + d2
+            m = den // num if num > 0 else -1
+            if (bits >> (count - used)) & 1:
+                b, d, m0 = num, den, m
+            else:
+                b, d, m1 = b2, d2, m
+            if m0 == m1 >= 1:
+                self.b, self.d = b, d
+                return m, used
+        self.b, self.d = b, d
+        return None, used
 
     def emit(self, digit: int) -> None:
         """Apply xi -> 1/xi - digit on top of the current state."""
@@ -174,12 +211,13 @@ class MobiusState:
 class LazyReal:
     """A Lebesgue-random real in (0, 1) with certified continued-fraction digits.
 
-    ``next_digit`` absorbs bits until the next digit is determined on the
-    whole image interval, then composes the Gauss step into the state.  The
-    per-digit refinement cap turns measure-zero pathologies into
-    :class:`NonGenericPointError`.  ``bits_consumed`` counts every bit
-    absorbed into the state (and the tracked prefix), also when
-    ``next_digit`` raises.
+    ``next_digit`` hands the unread bits of the source's block, at most as
+    many as the cap still allows, to :meth:`MobiusState.refine` until the
+    next digit is determined on the whole image interval, then composes the
+    Gauss step into the state.  The per-digit refinement cap turns
+    measure-zero pathologies into :class:`NonGenericPointError`.
+    ``bits_consumed`` counts every bit absorbed into the state (and the
+    tracked prefix), also when ``next_digit`` raises.
     """
 
     __slots__ = ("source", "state", "refine_cap", "bits_consumed", "digits_emitted", "_prefix")
@@ -208,23 +246,29 @@ class LazyReal:
     def next_digit(self) -> int:
         st = self.state
         src = self.source
+        cap = self.refine_cap
         absorbed = 0
-        m = st.determined_digit()
-        while m is None:
+        while True:
+            bits, avail = src.pending()
+            take = cap - absorbed
+            if take > avail:
+                take = avail
+            m, used = st.refine(bits >> (avail - take), take)
+            if used:
+                src.skip(used)
+                absorbed += used
+                self.bits_consumed += used
+                if self._prefix is not None:
+                    self._prefix = (self._prefix << used) | (bits >> (avail - used))
+            if m is not None:
+                break
             if st.is_exhausted():
                 raise StreamExhausted("image collapsed to 0; no further digits")
-            if absorbed >= self.refine_cap:
+            if absorbed >= cap:
                 raise NonGenericPointError(
                     f"digit undetermined after {absorbed} refinement bits "
                     f"(stream {src.stream_index}, digit {self.digits_emitted + 1})"
                 )
-            bit = src.next_bit()
-            st.absorb(bit)
-            absorbed += 1
-            self.bits_consumed += 1
-            if self._prefix is not None:
-                self._prefix = 2 * self._prefix + bit
-            m = st.determined_digit()
         if m >= _DIGIT_LIMIT:
             raise DigitOverflowError(f"digit {m} exceeds the 64-bit checked range")
         st.emit(m)

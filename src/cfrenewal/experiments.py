@@ -83,21 +83,34 @@ class FluctuationSamples:
         return np.log(np.maximum(g, 1.0)) / log(horizon)
 
 
+def _chunk_bounds(trials: int, workers: int, chunk_size: int) -> list[int]:
+    """Boundaries of a pooled run's chunks: a multiple of ``workers`` near-equal chunks.
+
+    The fewest such chunks that each hold at most ``chunk_size`` trials; the
+    sizes differ by at most one, larger chunks first.
+    """
+    jobs = workers * -(-trials // (workers * chunk_size))
+    size, extra = divmod(trials, jobs)
+    return [k * size + min(k, extra) for k in range(jobs + 1)]
+
+
 def _map_chunks(fn, cfg: ExperimentConfig, *args, offset: int = 0) -> list:
     """``fn(seed, trial_indices, *args)`` over all trials, results in index order.
 
     Trial t runs as trial ``offset + t``.  With one worker, or trials for
     only one chunk, ``fn`` runs once on all trials; otherwise the chunks of
-    ``cfg.chunk_size`` trials, whose boundaries depend only on ``cfg.trials``
-    and ``cfg.chunk_size``, run on a process pool.
+    :func:`_chunk_bounds`, near-equal so that every worker gets the same
+    share, run on a process pool.  Results do not depend on the chunks.
     """
     if cfg.workers <= 1 or cfg.trials <= cfg.chunk_size:
         return [fn(cfg.master_seed, np.arange(offset, offset + cfg.trials, dtype=np.uint64), *args)]
-    jobs = []
-    for lo in range(0, cfg.trials, cfg.chunk_size):
-        hi = min(lo + cfg.chunk_size, cfg.trials)
-        jobs.append((cfg.master_seed, np.arange(offset + lo, offset + hi, dtype=np.uint64), *args))
-    with get_context("fork").Pool(min(cfg.workers, len(jobs))) as pool:
+    workers = min(cfg.workers, cfg.trials)  # no empty chunks
+    bounds = _chunk_bounds(cfg.trials, workers, cfg.chunk_size)
+    jobs = [
+        (cfg.master_seed, np.arange(offset + lo, offset + hi, dtype=np.uint64), *args)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    with get_context("fork").Pool(workers) as pool:
         return pool.starmap(fn, jobs)
 
 

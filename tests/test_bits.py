@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from cfrenewal.bits import (
     BitSource,
@@ -44,6 +45,36 @@ def test_next_bits_packs_msb_first():
         want = (want << 1) | bit
     assert packed == want
     assert packed == block64(stream_key(99, 0), 0)
+
+
+def test_next_bits_reads_whole_blocks_like_single_bits():
+    for start in (0, 37):
+        for count in (0, 1, 63, 64, 65, 4096):
+            src, ref = BitSource(31, 4), BitSource(31, 4)
+            for s in (src, ref):
+                for _ in range(start):
+                    s.next_bit()
+            want = 0
+            for _ in range(count):
+                want = (want << 1) | ref.next_bit()
+            assert src.next_bits(count) == want
+            assert src.position == ref.position == start + count
+            assert [src.next_bit() for _ in range(70)] == [ref.next_bit() for _ in range(70)]
+
+
+def test_pending_and_skip_serve_the_rest_of_the_block():
+    src = BitSource(5, 2)
+    block = block64(stream_key(5, 2), 0)
+    assert src.pending() == (block, 64)
+    assert src.position == 0
+    src.skip(37)
+    assert src.pending() == (block & ((1 << 27) - 1), 27)
+    assert src.next_bit() == (block >> 26) & 1
+    with pytest.raises(ValueError):
+        src.skip(27)
+    src.skip(26)
+    assert src.position == 64
+    assert src.pending() == (block64(stream_key(5, 2), 1), 64)
 
 
 def test_bit_balance_is_plausible():

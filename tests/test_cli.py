@@ -113,7 +113,7 @@ def test_simulate_single_trial_row(tmp_path):
 
 
 def test_simulate_worker_counts_byte_identical(tmp_path):
-    # 9000 trials make two 8192-trial chunks, so --workers 2 really runs a pool
+    # 9000 trials make two 4500-trial chunks, so --workers 2 really runs a pool
     for workers in ("1", "2"):
         code, _ = run_cli(
             "simulate",
@@ -218,6 +218,24 @@ def test_config_file_precedence(tmp_path):
     assert payload["config"]["trials"] == 25
     assert payload["config"]["seed"] == 99
     assert payload["trials"] == 25
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--trials", "10", "--n", "100"),
+        ("tail", "--trials", "10", "--n", "100"),
+    ],
+)
+def test_unknown_config_key_rejected(tmp_path, capsys, argv):
+    # a typo such as trails=50 must not fall back to the default silently
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed=9\ntrails=50\n")
+    out = tmp_path / "out"
+    code, _ = run_cli(*argv, "--config", str(conf), "--out", str(out))
+    assert code == 2
+    assert "trails" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out.*"))
 
 
 @pytest.mark.parametrize(

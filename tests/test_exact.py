@@ -162,9 +162,9 @@ def test_geometric_mean_constants():
 
 def test_nongeneric_point_detected_for_all_zero_bits():
     class ZeroSource(BitSource):
-        def next_bit(self):
-            self.position += 1
-            return 0
+        def pending(self):
+            _, count = super().pending()
+            return 0, count
 
     real = LazyReal(ZeroSource(0, 0), refine_cap=256)
     with pytest.raises(NonGenericPointError):
@@ -216,9 +216,9 @@ def test_digit_overflow_is_a_typed_error():
 
 def test_bits_consumed_matches_source_when_next_digit_raises():
     class OnesSource(BitSource):
-        def next_bit(self):
-            self.position += 1
-            return 1
+        def pending(self):
+            _, count = super().pending()
+            return (1 << count) - 1, count
 
     src = OnesSource(0, 0)
     real = LazyReal(src, refine_cap=64, track_prefix=True)
@@ -227,6 +227,15 @@ def test_bits_consumed_matches_source_when_next_digit_raises():
         real.next_digit()
     assert real.bits_consumed == src.position == 66
     assert real.dyadic == DyadicInterval((1 << 66) - 1, 66)
+
+
+def _reference_digit(st: MobiusState):
+    """The integer part of 1/xi if it is the same m >= 1 at both ends of the image, else None."""
+    b, ab = st.b, st.a + st.b
+    if b <= 0 or ab <= 0:
+        return None
+    m = st.d // b
+    return m if m >= 1 and m * ab <= st.c + st.d < (m + 1) * ab else None
 
 
 def _reference_walk(src: BitSource, state: MobiusState, count: int):
@@ -238,7 +247,7 @@ def _reference_walk(src: BitSource, state: MobiusState, count: int):
     st = MobiusState(state.a, state.b, state.c, state.d)
     bits = prefix = 0
     for _ in range(count):
-        digit = st.determined_digit()
+        digit = _reference_digit(st)
         while digit is None:
             if st.a == 0 and st.b == 0:
                 return
@@ -246,7 +255,7 @@ def _reference_walk(src: BitSource, state: MobiusState, count: int):
             st.absorb(bit)
             bits += 1
             prefix = 2 * prefix + bit
-            digit = st.determined_digit()
+            digit = _reference_digit(st)
         a, b, c, d = st.c - digit * st.a, st.d - digit * st.b, st.a, st.b
         g = gcd(gcd(a, b), gcd(c, d))
         st.a, st.b, st.c, st.d = a // g, b // g, c // g, d // g
@@ -292,3 +301,54 @@ def test_lazy_real_matches_reference_walk_from_user_states():
         got = list(_lazy_walk(BitSource(1, 0), MobiusState.constant(value), 50))
         assert got == [row[:4] for row in ref]
         assert [row[0] for row in got] == _digits(digits_of_rational(value.numerator, value.denominator))
+
+
+@pytest.mark.parametrize("cap", [1, 63, 64, 65, 512])
+def test_block_refinement_matches_reference_walk(cap):
+    # the identity, the R = 1 start law and a constant, from a fresh source
+    # and from one that has served 37 bits one at a time (mid-block)
+    starts = (MobiusState.identity, lambda: MobiusState(1, 0, -1, 2), lambda: MobiusState.constant(Fraction(113, 355)))
+    for make in starts:
+        for served in (0, 37):
+            for seed in range(8):
+                ref_src, src = BitSource(seed, 5), BitSource(seed, 5)
+                for s in (ref_src, src):
+                    for _ in range(served):
+                        s.next_bit()
+                real = LazyReal(src, refine_cap=cap, state=make(), track_prefix=True)
+                prev = emitted = 0
+                for digit, bits, prefix, abcd, _ in _reference_walk(ref_src, make(), 200):
+                    if bits - prev > cap:
+                        with pytest.raises(NonGenericPointError):
+                            real.next_digit()
+                        assert real.bits_consumed == src.position - served == prev + cap
+                        assert real.dyadic.numerator == prefix >> (bits - prev - cap)
+                        break
+                    assert real.next_digit() == digit
+                    st = real.state
+                    assert (real.bits_consumed, real.dyadic.numerator, (st.a, st.b, st.c, st.d)) == (bits, prefix, abcd)
+                    assert src.position == served + bits
+                    prev = bits
+                    emitted += 1
+                else:
+                    if emitted < 200:  # the reference walk stopped where the image collapsed to 0
+                        with pytest.raises(StreamExhausted):
+                            real.next_digit()
+                        assert real.bits_consumed == src.position - served == prev
+
+
+def test_refine_stops_at_the_first_determining_bit():
+    src = BitSource(13, 1)
+    block, count = src.pending()
+    ref = MobiusState(1, 0, -1, 2)
+    bits_needed = 0
+    while _reference_digit(ref) is None:
+        bits_needed += 1
+        ref.absorb((block >> (count - bits_needed)) & 1)
+    st = MobiusState(1, 0, -1, 2)
+    assert st.refine(block, count) == (_reference_digit(ref), bits_needed)
+    assert st.determined_digit() == _reference_digit(ref)
+    assert (st.a, st.b, st.c, st.d) == (ref.a, ref.b, ref.c, ref.d)
+    short = MobiusState(1, 0, -1, 2)
+    assert short.refine(block >> (count - bits_needed + 1), bits_needed - 1) == (None, bits_needed - 1)
+    assert MobiusState(0, 0, 0, 1).refine(block, count) == (None, 0)

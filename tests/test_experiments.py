@@ -10,6 +10,7 @@ import pytest
 from cfrenewal.experiments import (
     ExperimentConfig,
     _digit_sums_parallel,
+    _chunk_bounds,
     _map_chunks,
     fluctuation_samples,
     run_diamond_vaaler,
@@ -80,6 +81,19 @@ def test_chunk_size_does_not_change_results():
     for chunk_size in (256, 3000):
         pooled = fluctuation_samples(replace(cfg, workers=2, chunk_size=chunk_size)).x_values
         assert np.array_equal(pooled, serial)
+
+
+def test_pooled_chunks_are_balanced_over_workers():
+    # a multiple of the worker count, near-equal, none above chunk_size
+    def sizes(trials, workers):
+        return np.diff(_chunk_bounds(trials, workers, 8192)).tolist()
+
+    assert sizes(12000, 2) == [6000, 6000]
+    assert sizes(40000, 2) == [6667] * 4 + [6666] * 2
+    for trials, workers in ((8193, 2), (9000, 3), (100000, 2), (16385, 2)):
+        got = sizes(trials, workers)
+        assert sum(got) == trials and len(got) % workers == 0
+        assert max(got) <= 8192 and max(got) - min(got) <= 1
 
 
 def test_serial_map_calls_fn_once_on_all_trials():
