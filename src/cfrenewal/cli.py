@@ -193,6 +193,25 @@ def _emit(args, record: OutputRecord) -> None:
         print(json.dumps(summary, sort_keys=True))
 
 
+# Each subcommand's settings: flag name -> (default, element type or choices).
+# A list default marks a repeatable flag, and a choice without a default is
+# required.  The parser, the config file, the defaults and the echoed config
+# all read this table.
+SOURCES = ("sampled", "exact")
+SETTINGS = {
+    "expand": {"seed": (None, int), "stream": (0, int), "rational": (None, str), "constant": (None, str),
+               "count": (20, int), "refine-cap": (DEFAULT_REFINE_CAP, int)},
+    "simulate": {"seed": (1, int), "trials": (10_000, int), "n": ([1000], int), "workers": (1, int),
+                 "refine-cap": (DEFAULT_REFINE_CAP, int), "source": ("sampled", SOURCES)},
+    "tail": {"seed": (1, int), "trials": (10_000, int), "n": ([1_000_000], int), "epsilon": ([0.1, 0.3, 0.5], float),
+             "workers": (1, int), "source": ("sampled", SOURCES)},
+    "operator": {"density": ("id", str), "n": ([2**j for j in range(11)], int), "probe": (list(DEFAULT_PROBES), float)},
+    # an empty --n list stands for the chosen experiment's own default
+    "classic": {"which": (None, ("khinchin", "diamond-vaaler", "weak-law", "stable", "ly")), "seed": (1, int),
+                "trials": (10_000, int), "n": ([], int), "workers": (1, int)},
+}
+
+
 def _parse_config_file(path: str) -> dict:
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -221,28 +240,33 @@ def _echo_config(conf: dict) -> dict:
     }
 
 
-def _merged(args, keys: dict) -> dict:
-    """flags > config file > defaults, echoed as a plain dict.
+def _merged(args) -> dict:
+    """The subcommand's ``SETTINGS``: flags > config file > defaults, as a plain dict.
 
-    A config-file key that is not one of ``keys`` is a usage error, not ignored.
+    A config-file key that the subcommand does not take is a usage error, not
+    ignored.  Seeds and stream indices are 64-bit keys: outside ``[0, 2^64)``
+    the bit generator would reduce them onto another key's streams.
     """
+    keys = SETTINGS[args.command]
     file_conf = _parse_config_file(args.config) if getattr(args, "config", None) else {}
     unknown = sorted(set(file_conf) - set(keys))
     if unknown:
         raise UsageError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; {args.command} takes {', '.join(keys)}")
     merged = {}
-    for key, (default, cast) in keys.items():
-        flag_val = getattr(args, key.replace("-", "_"), None)
-        if flag_val not in (None, []):
+    for key, (default, kind) in keys.items():
+        flag_val = getattr(args, key.replace("-", "_"))
+        if flag_val is not None:
             merged[key] = flag_val
         elif key in file_conf:
+            # a choice from a file is checked where it is used (ExperimentConfig checks source)
+            cast = str if isinstance(kind, tuple) else kind
             raw = file_conf[key]
-            if cast is list:
-                merged[key] = [type(default[0])(v) for v in raw.split(",")] if default else raw.split(",")
-            else:
-                merged[key] = cast(raw)
+            merged[key] = [cast(v) for v in raw.split(",")] if isinstance(default, list) else cast(raw)
         else:
             merged[key] = default
+    for key in ("seed", "stream"):
+        if merged.get(key) is not None and not 0 <= merged[key] < 2**64:
+            raise UsageError(f"--{key} must lie in [0, 2^64)")
     return merged
 
 
@@ -261,60 +285,44 @@ def _constant_stream(name: str) -> DigitStream:
 
 
 def cmd_expand(args) -> int:
-    sources = [s for s in (args.seed is not None, args.rational, args.constant) if s]
+    conf = _merged(args)
+    sources = [s for s in (conf["seed"] is not None, conf["rational"], conf["constant"]) if s]
     if len(sources) != 1:
         raise UsageError("expand needs exactly one of --seed, --rational, --constant")
-    if args.count < 1:
+    if conf["count"] < 1:
         raise UsageError("--count must be >= 1")
-    if args.refine_cap < 1:
+    if conf["refine-cap"] < 1:
         raise UsageError("--refine-cap must be >= 1")
-    if args.rational:
+    if conf["rational"]:
         try:
-            p_str, q_str = args.rational.split("/")
+            p_str, q_str = conf["rational"].split("/")
             stream = digits_of_rational(int(p_str), int(q_str))
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad rational '{args.rational}': {exc}") from None
-    elif args.constant:
-        stream = _constant_stream(args.constant)
+            raise UsageError(f"bad rational '{conf['rational']}': {exc}") from None
+    elif conf["constant"]:
+        stream = _constant_stream(conf["constant"])
     else:
-        stream = DigitStream.from_seed(args.seed, args.stream, args.refine_cap)
+        stream = DigitStream.from_seed(conf["seed"], conf["stream"], conf["refine-cap"])
     header = ["k", "a_k", "S_k", "trimmed_S_k", "geometric_mean"]
     rows = []
     log_sum = 0.0
-    for k in range(1, args.count + 1):
+    for k in range(1, conf["count"] + 1):
         if not stream.ensure(k):
             rows.append((k, "end", "", "", ""))
             break
         a = stream.digit(k)
         log_sum += log(a)
         rows.append((k, a, stream.partial_sum(k), stream.trimmed_sum(k), exp(log_sum / k)))
-    config = {
-        "seed": args.seed,
-        "rational": args.rational,
-        "constant": args.constant,
-        "count": args.count,
-        "refine-cap": args.refine_cap,
-    }
     summary = {"experiment": "expand", "rows": len(rows)}
-    _emit(args, OutputRecord(experiment="expand", config=config, header=tuple(header), columns=_list_columns(rows), summary=summary))
+    _emit(args, OutputRecord(experiment="expand", config=_echo_config(conf), header=tuple(header), columns=_list_columns(rows), summary=summary))
     return 0
 
 
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
-    conf = _merged(
-        args,
-        {
-            "seed": (1, int),
-            "trials": (10_000, int),
-            "n": ([1000], list),
-            "workers": (1, int),
-            "refine-cap": (DEFAULT_REFINE_CAP, int),
-            "source": ("sampled", str),
-        },
-    )
-    horizons = tuple(sorted(set(int(v) for v in conf["n"])))
+    conf = _merged(args)
+    horizons = tuple(sorted(set(conf["n"])))
     cfg = ExperimentConfig(
         master_seed=conf["seed"],
         trials=conf["trials"],
@@ -338,7 +346,6 @@ def cmd_simulate(args) -> int:
         n_col - x_col,
         np.concatenate([report.samples.scaled(n) for n in report.horizons]),
     )
-    config = _echo_config(conf)
     summary = {
         "experiment": "uniform-law",
         "trials": cfg.trials,
@@ -347,45 +354,31 @@ def cmd_simulate(args) -> int:
         "atom_frequency": list(report.atom_frequency),
         "resampled": report.resampled,
     }
-    _emit(args, OutputRecord(experiment="simulate", config=config, header=tuple(header), columns=columns, summary=summary))
+    _emit(args, OutputRecord(experiment="simulate", config=_echo_config(conf), header=tuple(header), columns=columns, summary=summary))
     return 0
 
 
 # ---------------------------------------------------------------- tail
 
 def cmd_tail(args) -> int:
-    conf = _merged(
-        args,
-        {
-            "seed": (1, int),
-            "trials": (10_000, int),
-            "n": ([1_000_000], list),
-            "epsilon": ([0.1, 0.3, 0.5], list),
-            "workers": (1, int),
-            "source": ("sampled", str),
-        },
-    )
-    epsilons = [float(e) for e in conf["epsilon"]]
-    if any(not 0 < e < 1 for e in epsilons):
-        raise UsageError("every epsilon must lie in (0, 1)")
-    horizons = tuple(sorted(set(int(v) for v in conf["n"])))
+    conf = _merged(args)
+    horizons = tuple(sorted(set(conf["n"])))
     cfg = ExperimentConfig(
         master_seed=conf["seed"],
         trials=conf["trials"],
         horizons=horizons,
-        epsilons=tuple(epsilons),
+        epsilons=tuple(conf["epsilon"]),
         workers=conf["workers"],
         digit_source=conf["source"],
     )
     from .experiments import fluctuation_samples
 
     samples = fluctuation_samples(cfg)
-    reports = tail_reports_from_samples(samples, sorted(epsilons))
+    reports = tail_reports_from_samples(samples, sorted(conf["epsilon"]))
     header = ["epsilon", "n", "frequency", "theoretical", "ratio", "std_error"]
     rows = [
         (r.epsilon, r.n, r.frequency, r.theoretical, r.ratio, r.std_error) for r in reports
     ]
-    config = _echo_config(conf)
     summary = {
         "experiment": "large-deviation",
         "trials": cfg.trials,
@@ -401,7 +394,7 @@ def cmd_tail(args) -> int:
             for r in reports
         ],
     }
-    _emit(args, OutputRecord(experiment="tail", config=config, header=tuple(header), columns=_list_columns(rows), summary=summary))
+    _emit(args, OutputRecord(experiment="tail", config=_echo_config(conf), header=tuple(header), columns=_list_columns(rows), summary=summary))
     return 0
 
 
@@ -424,9 +417,10 @@ def _density_from_name(name: str) -> ClosedFormDensity:
 
 
 def cmd_operator(args) -> int:
-    density = _density_from_name(args.density)
-    schedule = sorted(set(args.n)) if args.n else [2**j for j in range(0, 11)]
-    probes = tuple(args.probe) if args.probe else DEFAULT_PROBES
+    conf = _merged(args)
+    density = _density_from_name(conf["density"])
+    schedule = sorted(set(conf["n"]))
+    probes = tuple(conf["probe"])
     if any(not 0.5 < p <= 1.0 for p in probes):
         raise UsageError("probes must lie in (1/2, 1]")
     mesh = farey_mesh(probes=probes)
@@ -447,39 +441,33 @@ def cmd_operator(args) -> int:
         for p, v, prod in zip(tr.probes, tr.values, tr.products):
             oracle = exact_iterate(density, tr.n, p) if tr.n <= oracle_cutoff else ""
             rows.append((tr.n, tr.W_n, p, v, prod, tr.min_slope, tr.max_second_difference, oracle))
-    config = {
-        "seed": None,
-        "density": args.density,
-        "schedule": ",".join(str(n) for n in schedule),
-        "probes": ",".join(repr(p) for p in probes),
-    }
     summary = {
         "experiment": "operator-trace",
-        "density": args.density,
+        "density": conf["density"],
         "schedule": schedule,
         "products": {str(tr.n): list(tr.products) for tr in traces},
     }
-    _emit(args, OutputRecord(experiment="operator", config=config, header=tuple(header), columns=_list_columns(rows), summary=summary))
+    _emit(args, OutputRecord(experiment="operator", config=_echo_config(conf), header=tuple(header), columns=_list_columns(rows), summary=summary))
     return 0
 
 
 # ---------------------------------------------------------------- classic
 
 def cmd_classic(args) -> int:
-    which = args.which
-    seed = args.seed if args.seed is not None else 1
-    trials = 10_000 if args.trials is None else args.trials
-    workers = 1 if args.workers is None else args.workers
+    conf = _merged(args)
+    which, n = conf["which"], conf["n"]
     # validated first, so a count below 1 is reported as such for every --which
-    base = ExperimentConfig(master_seed=seed, trials=trials, workers=workers)
+    base = ExperimentConfig(master_seed=conf["seed"], trials=conf["trials"], workers=conf["workers"])
     if which in ("khinchin", "diamond-vaaler") and (args.trials is not None or args.workers is not None):
         raise UsageError(f"classic --which {which} scans one orbit and takes no --trials or --workers")
-    if which == "weak-law" and args.n and len(args.n) > 1:
+    if which == "weak-law" and len(n) > 1:
         raise UsageError("classic --which weak-law takes at most one --n")
-    if which == "stable" and args.n and len(args.n) != 2:
+    if which == "stable" and n and len(n) != 2:
         raise UsageError("classic --which stable takes exactly two --n (k1 and k2)")
+    if which in ("weak-law", "diamond-vaaler") and any(k < 2 for k in n):
+        raise UsageError(f"classic --which {which} divides by log n and needs every --n >= 2")
     if which == "khinchin":
-        report = run_khinchin(replace(base, checkpoints=_checkpoints(args)))
+        report = run_khinchin(replace(base, checkpoints=_checkpoints(n)))
         summary = {
             "experiment": "khinchin",
             "target": report.target,
@@ -489,7 +477,7 @@ def cmd_classic(args) -> int:
         rows = [(r["k"], r["geometric_mean"]) for r in report.records]
         header = ["k", "geometric_mean"]
     elif which == "diamond-vaaler":
-        report = run_diamond_vaaler(replace(base, checkpoints=_checkpoints(args)))
+        report = run_diamond_vaaler(replace(base, checkpoints=_checkpoints(n)))
         summary = {
             "experiment": "diamond-vaaler",
             "target": report.target,
@@ -500,7 +488,7 @@ def cmd_classic(args) -> int:
         rows = [(r["k"], r["trimmed_ratio"], r["relative_deviation"]) for r in report.records]
         header = ["k", "trimmed_ratio", "relative_deviation"]
     elif which == "weak-law":
-        report = run_weak_law(replace(base, n=args.n[0] if args.n else 10_000))
+        report = run_weak_law(replace(base, n=n[0] if n else 10_000))
         summary = {
             "experiment": "weak-law",
             "n": report.n,
@@ -512,7 +500,7 @@ def cmd_classic(args) -> int:
         rows = [(report.n, report.median, report.target)]
         header = ["n", "median", "target"]
     elif which == "stable":
-        report = run_stable_stability(replace(base, k_pair=tuple(sorted(args.n)) if args.n else (10_000, 100_000)))
+        report = run_stable_stability(replace(base, k_pair=tuple(sorted(n)) if n else (10_000, 100_000)))
         summary = {
             "experiment": "stable",
             "k1": report.k1,
@@ -523,8 +511,8 @@ def cmd_classic(args) -> int:
         }
         rows = [(report.k1, report.k2, report.ks)]
         header = ["k1", "k2", "ks"]
-    elif which == "ly":
-        report = run_ly_uniform_law(replace(base, horizons=tuple(sorted(set(args.n))) if args.n else (100_000,)))
+    else:
+        report = run_ly_uniform_law(replace(base, horizons=tuple(sorted(set(n))) if n else (100_000,)))
         summary = {
             "experiment": "ly-uniform-law",
             "horizons": list(report.horizons),
@@ -534,22 +522,12 @@ def cmd_classic(args) -> int:
         }
         rows = list(zip(report.horizons, report.ks, report.never_visited))
         header = ["n", "ks", "never_visited"]
-    else:
-        raise UsageError(f"unknown experiment '{which}'")
-    config = {
-        "seed": seed,
-        "which": which,
-        "trials": trials,
-        "n": ",".join(str(v) for v in (args.n or [])),
-    }
-    _emit(args, OutputRecord(experiment="classic", config=config, header=tuple(header), columns=_list_columns(rows), summary=summary))
+    _emit(args, OutputRecord(experiment="classic", config=_echo_config(conf), header=tuple(header), columns=_list_columns(rows), summary=summary))
     return 0
 
 
-def _checkpoints(args) -> tuple[int, ...]:
-    if args.n:
-        return tuple(sorted(set(args.n)))
-    return (1_000, 10_000, 100_000, 1_000_000)
+def _checkpoints(n: list[int]) -> tuple[int, ...]:
+    return tuple(sorted(set(n))) if n else (1_000, 10_000, 100_000, 1_000_000)
 
 
 # ---------------------------------------------------------------- main
@@ -557,67 +535,26 @@ def _checkpoints(args) -> tuple[int, ...]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cfrenewal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    commands = (
+        ("expand", cmd_expand, "continued-fraction digits of --seed, --rational p/q in (0,1) or --constant golden|sqrt2"),
+        ("simulate", cmd_simulate, "uniform-law fluctuation runs"),
+        ("tail", cmd_tail, "large-deviation tail table"),
+        ("operator", cmd_operator, "transfer-operator trace"),
+        ("classic", cmd_classic, "classical limit-law experiments"),
+    )
+    for name, fn, help_text in commands:
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        # no flag default: _merged tells a flag left out from one given
+        for key, (default, kind) in SETTINGS[name].items():
+            if isinstance(kind, tuple):
+                p.add_argument(f"--{key}", choices=kind, required=default is None)
+            else:
+                p.add_argument(f"--{key}", type=kind, action="append" if isinstance(default, list) else "store")
         p.add_argument("--out", type=str, default=None, help="output path stem")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-
-    def add_config(p):
-        # only the subcommands that merge their settings through _merged take a file
-        p.add_argument("--config", type=str, default=None, help="key=value config file")
-
-    p_expand = sub.add_parser("expand", help="continued-fraction digit dump")
-    p_expand.add_argument("--seed", type=int, default=None)
-    p_expand.add_argument("--stream", type=int, default=0)
-    p_expand.add_argument("--rational", type=str, default=None, help="p/q in (0,1)")
-    p_expand.add_argument("--constant", type=str, default=None, help="golden | sqrt2")
-    p_expand.add_argument("--count", type=int, default=20)
-    p_expand.add_argument("--refine-cap", type=int, default=DEFAULT_REFINE_CAP)
-    add_common(p_expand)
-    p_expand.set_defaults(fn=cmd_expand)
-
-    p_sim = sub.add_parser("simulate", help="uniform-law fluctuation runs")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--trials", type=int, default=None)
-    p_sim.add_argument("--n", type=int, action="append", default=None)
-    p_sim.add_argument("--workers", type=int, default=None)
-    p_sim.add_argument("--refine-cap", type=int, default=None)
-    p_sim.add_argument("--source", choices=("sampled", "exact"), default=None)
-    add_common(p_sim)
-    add_config(p_sim)
-    p_sim.set_defaults(fn=cmd_simulate)
-
-    p_tail = sub.add_parser("tail", help="large-deviation tail table")
-    p_tail.add_argument("--seed", type=int, default=None)
-    p_tail.add_argument("--trials", type=int, default=None)
-    p_tail.add_argument("--n", type=int, action="append", default=None)
-    p_tail.add_argument("--epsilon", type=float, action="append", default=None)
-    p_tail.add_argument("--workers", type=int, default=None)
-    p_tail.add_argument("--source", choices=("sampled", "exact"), default=None)
-    add_common(p_tail)
-    add_config(p_tail)
-    p_tail.set_defaults(fn=cmd_tail)
-
-    p_op = sub.add_parser("operator", help="transfer-operator trace")
-    p_op.add_argument("--density", type=str, default="id")
-    p_op.add_argument("--n", type=int, action="append", default=None)
-    p_op.add_argument("--probe", type=float, action="append", default=None)
-    add_common(p_op)
-    p_op.set_defaults(fn=cmd_operator)
-
-    p_classic = sub.add_parser("classic", help="classical limit-law experiments")
-    p_classic.add_argument(
-        "--which",
-        required=True,
-        choices=("khinchin", "diamond-vaaler", "weak-law", "stable", "ly"),
-    )
-    p_classic.add_argument("--seed", type=int, default=None)
-    p_classic.add_argument("--trials", type=int, default=None)
-    p_classic.add_argument("--n", type=int, action="append", default=None)
-    p_classic.add_argument("--workers", type=int, default=None)
-    add_common(p_classic)
-    p_classic.set_defaults(fn=cmd_classic)
-
+        if name in ("simulate", "tail"):
+            p.add_argument("--config", type=str, default=None, help="key=value config file")
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -26,6 +26,7 @@ from .stats import EmpiricalDistribution, TailReport, ks_two_sample, ks_uniform
 
 LOG2_INV = 1.0 / log(2.0)  # Diamond-Vaaler / weak-law limit 1.442695...
 KHINCHIN = 2.685  # geometric-mean target, to the precision used here
+WEAK_LAW_DELTAS = (0.1, 0.2)  # relative half-widths of the weak-law "within" bands
 _MAX_RESAMPLE_ROUNDS = 8
 
 
@@ -44,7 +45,6 @@ class ExperimentConfig:
     n: int = 1_000_000
     checkpoints: tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000)
     k_pair: tuple[int, int] = (10_000, 100_000)
-    deltas: tuple[float, ...] = (0.1, 0.2)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -273,7 +273,7 @@ def run_weak_law(cfg: ExperimentConfig) -> WeakLawReport:
     sums = _digit_sums_parallel(cfg, (n,))[:, 0]
     ratios = sums.astype(np.float64) / (n * log(n))
     within = {
-        d: float(np.mean(np.abs(ratios - LOG2_INV) <= d * LOG2_INV)) for d in cfg.deltas
+        d: float(np.mean(np.abs(ratios - LOG2_INV) <= d * LOG2_INV)) for d in WEAK_LAW_DELTAS
     }
     return WeakLawReport(
         n=n,

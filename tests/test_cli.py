@@ -281,6 +281,28 @@ def test_counts_below_one_exit_2(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("out.*"))
 
 
+@pytest.mark.parametrize("value", ["-1", str(2**64 + 1)])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("simulate", "--trials", "10", "--n", "100", "--seed"), "--seed"),
+        (("simulate", "--trials", "10", "--n", "100", "--source", "exact", "--seed"), "--seed"),
+        (("tail", "--trials", "10", "--n", "100", "--seed"), "--seed"),
+        (("classic", "--which", "ly", "--trials", "10", "--n", "100", "--seed"), "--seed"),
+        (("expand", "--count", "3", "--seed"), "--seed"),
+        (("expand", "--count", "3", "--seed", "1", "--stream"), "--stream"),
+    ],
+)
+def test_key_outside_64_bits_exit_2(tmp_path, capsys, argv, flag, value):
+    # the bit generator reduces keys mod 2^64, so -1 or 2^64 + 1 would run
+    # another seed's streams under a config hash of its own
+    out = tmp_path / "out"
+    code, _ = run_cli(*argv, value, "--out", str(out))
+    assert code == 2
+    assert f"{flag} must lie in [0, 2^64)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out.*"))
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -291,11 +313,14 @@ def test_counts_below_one_exit_2(tmp_path, capsys, argv):
         (("classic", "--which", "khinchin", "--n", "1000", "--workers", "2"), "--workers"),
         (("classic", "--which", "diamond-vaaler", "--n", "1000", "--trials", "5"), "--trials"),
         (("classic", "--which", "diamond-vaaler", "--n", "1000", "--workers", "2"), "--workers"),
+        (("classic", "--which", "diamond-vaaler", "--n", "1"), "--n"),
+        (("classic", "--which", "weak-law", "--trials", "50", "--n", "1"), "--n"),
     ],
 )
 def test_classic_flags_it_cannot_honour_exit_2(tmp_path, capsys, argv, flag):
     # stable needs a pair of digit counts, weak-law one, and the orbit
-    # experiments run a single orbit; anything else would be dropped silently
+    # experiments run a single orbit; anything else would be dropped silently.
+    # weak-law and diamond-vaaler divide by log n, which is 0 at n = 1
     out = tmp_path / "out"
     code, _ = run_cli(*argv, "--out", str(out))
     assert code == 2
@@ -405,6 +430,8 @@ def test_block_renderer_matches_rowwise_formatting(n_rows):
     [
         ("simulate", "--seed", "7", "--trials", "5000", "--n", "100", "--n", "1000"),
         ("operator", "--density", "one", "--n", "2", "--n", "8"),
+        ("expand", "--seed", "9", "--stream", "4", "--count", "5"),
+        ("classic", "--which", "weak-law", "--trials", "50", "--n", "100"),
     ],
 )
 def test_stdout_matches_written_files(tmp_path, argv):
@@ -416,3 +443,57 @@ def test_stdout_matches_written_files(tmp_path, argv):
     assert csv_lines[0].startswith("# seed=")
     summary = json.loads((tmp_path / "out.json").read_text())
     assert printed.splitlines() == csv_lines[1:] + [json.dumps(summary, sort_keys=True)]
+
+
+# per subcommand: a cheap command line, and for each setting two additions to
+# it that differ in that setting only
+_HASH_BASE = {
+    "expand": ("expand", "--count", "3"),
+    "simulate": ("simulate", "--trials", "20", "--n", "100"),
+    "tail": ("tail", "--trials", "20", "--n", "100"),
+    "operator": ("operator", "--n", "2"),
+    "classic": ("classic", "--seed", "1", "--n", "1000"),
+}
+_HASH_VARIANTS = {
+    ("expand", "seed"): (["--seed", "1"], ["--seed", "2"]),
+    ("expand", "stream"): (["--seed", "9", "--stream", "4"], ["--seed", "9", "--stream", "5"]),
+    ("expand", "rational"): (["--rational", "1/3"], ["--rational", "2/5"]),
+    ("expand", "constant"): (["--constant", "golden"], ["--constant", "sqrt2"]),
+    ("expand", "count"): (["--constant", "golden"], ["--constant", "golden", "--count", "4"]),
+    ("expand", "refine-cap"): (["--seed", "1"], ["--seed", "1", "--refine-cap", "600"]),
+    ("simulate", "seed"): ([], ["--seed", "2"]),
+    ("simulate", "trials"): ([], ["--trials", "21"]),
+    ("simulate", "n"): ([], ["--n", "200"]),
+    ("simulate", "refine-cap"): ([], ["--refine-cap", "600"]),
+    ("simulate", "source"): ([], ["--source", "exact"]),
+    ("tail", "seed"): ([], ["--seed", "2"]),
+    ("tail", "trials"): ([], ["--trials", "21"]),
+    ("tail", "n"): ([], ["--n", "200"]),
+    ("tail", "epsilon"): ([], ["--epsilon", "0.2"]),
+    ("tail", "source"): ([], ["--source", "exact"]),
+    ("operator", "density"): ([], ["--density", "one"]),
+    ("operator", "n"): ([], ["--n", "4"]),
+    ("operator", "probe"): ([], ["--probe", "0.75"]),
+    ("classic", "which"): (["--which", "khinchin"], ["--which", "diamond-vaaler"]),
+    ("classic", "seed"): (["--which", "khinchin"], ["--which", "khinchin", "--seed", "2"]),
+    ("classic", "trials"): (["--which", "ly", "--trials", "20"], ["--which", "ly", "--trials", "21"]),
+    ("classic", "n"): (["--which", "khinchin"], ["--which", "khinchin", "--n", "2000"]),
+}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command, keys in cli.SETTINGS.items() for key in keys if key != "workers"],
+)
+def test_every_setting_changes_config_hash(tmp_path, command, key):
+    # two runs that differ in one setting must not share a config_hash; the
+    # worker count alone is left out, because it never changes the outputs
+    hashes = []
+    for k, extra in enumerate(_HASH_VARIANTS[command, key]):
+        stem = tmp_path / f"run{k}"
+        code, _ = run_cli(*_HASH_BASE[command], *extra, "--out", str(stem))
+        assert code == 0
+        payload = json.loads(stem.with_suffix(".json").read_text())
+        assert key in payload["config"]
+        hashes.append(payload["config_hash"])
+    assert hashes[0] != hashes[1]
