@@ -11,9 +11,7 @@ from .exact import (
     MobiusState,
     NonGenericPointError,
     StreamExhausted,
-    digit_sums,
     digits_of_rational,
-    geometric_mean,
 )
 
 __all__ = [
@@ -25,8 +23,6 @@ __all__ = [
     "MobiusState",
     "NonGenericPointError",
     "StreamExhausted",
-    "digit_sums",
     "digits_of_rational",
-    "geometric_mean",
     "__version__",
 ]

@@ -21,7 +21,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from math import exp, log
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -32,6 +31,7 @@ from .exact import (
     DigitStream,
     NonGenericPointError,
     digits_of_rational,
+    orbit_records,
 )
 from .experiments import (
     ExperimentConfig,
@@ -289,6 +289,10 @@ def cmd_expand(args) -> int:
     sources = [s for s in (conf["seed"] is not None, conf["rational"], conf["constant"]) if s]
     if len(sources) != 1:
         raise UsageError("expand needs exactly one of --seed, --rational, --constant")
+    # the stream index and refinement cap select and certify seeded digits only
+    for flag, value in (("--stream", args.stream), ("--refine-cap", args.refine_cap)):
+        if value is not None and conf["seed"] is None:
+            raise UsageError(f"expand {flag} acts only on --seed digits")
     if conf["count"] < 1:
         raise UsageError("--count must be >= 1")
     if conf["refine-cap"] < 1:
@@ -304,15 +308,10 @@ def cmd_expand(args) -> int:
     else:
         stream = DigitStream.from_seed(conf["seed"], conf["stream"], conf["refine-cap"])
     header = ["k", "a_k", "S_k", "trimmed_S_k", "geometric_mean"]
-    rows = []
-    log_sum = 0.0
-    for k in range(1, conf["count"] + 1):
-        if not stream.ensure(k):
-            rows.append((k, "end", "", "", ""))
-            break
-        a = stream.digit(k)
-        log_sum += log(a)
-        rows.append((k, a, stream.partial_sum(k), stream.trimmed_sum(k), exp(log_sum / k)))
+    rows = [(r["k"], r["a"], r["S"], r["trimmed"], r["geometric_mean"])
+            for r in orbit_records(stream, range(1, conf["count"] + 1))]
+    if len(rows) < conf["count"]:
+        rows.append((len(rows) + 1, "end", "", "", ""))
     summary = {"experiment": "expand", "rows": len(rows)}
     _emit(args, OutputRecord(experiment="expand", config=_echo_config(conf), header=tuple(header), columns=_list_columns(rows), summary=summary))
     return 0
@@ -464,6 +463,8 @@ def cmd_classic(args) -> int:
         raise UsageError("classic --which weak-law takes at most one --n")
     if which == "stable" and n and len(n) != 2:
         raise UsageError("classic --which stable takes exactly two --n (k1 and k2)")
+    if any(k < 1 for k in n):
+        raise UsageError("--n must be >= 1")
     if which in ("weak-law", "diamond-vaaler") and any(k < 2 for k in n):
         raise UsageError(f"classic --which {which} divides by log n and needs every --n >= 2")
     if which == "khinchin":

@@ -285,18 +285,19 @@ class LazyReal:
 
 
 class DigitStream:
-    """Digit sequence with running sums, prefix maxima, and lazy extension.
+    """Digit sequence with running sums and lazy extension.
 
     Wraps any digit iterator (certified, rational, sampled, or injected) and
-    memoizes digits a_k, sums S_k = a_1 + ... + a_k, and running maxima so
-    that trimmed sums and fluctuation queries are O(1) after extension.
+    memoizes digits a_k and sums S_k = a_1 + ... + a_k, so that fluctuation
+    queries are O(1) after extension.  Each pulled digit is checked to be
+    >= 1 and each sum to stay below 2^63.  Running maxima and other orbit
+    statistics are not kept here: :func:`orbit_records` streams them.
     """
 
     def __init__(self, digit_iter: Iterable[int], finite: bool = False):
         self._iter = iter(digit_iter)
         self._digits: list[int] = []
         self._sums: list[int] = [0]
-        self._prefix_max: list[int] = [0]
         self.finite = finite
         self.exhausted = False
 
@@ -340,8 +341,6 @@ class DigitStream:
             raise DigitOverflowError("digit sum exceeds the 64-bit checked range")
         self._digits.append(a)
         self._sums.append(s)
-        prev = self._prefix_max[-1]
-        self._prefix_max.append(a if a > prev else prev)
         return True
 
     def ensure(self, count: int) -> bool:
@@ -350,6 +349,13 @@ class DigitStream:
             if not self._pull():
                 return False
         return True
+
+    def __iter__(self) -> Iterator[int]:
+        """a_1, a_2, ...: memoized digits first, then pulled ones, until the stream ends."""
+        k = 0
+        while k < len(self._digits) or self._pull():
+            yield self._digits[k]
+            k += 1
 
     def __len__(self) -> int:
         return len(self._digits)
@@ -368,19 +374,6 @@ class DigitStream:
             raise StreamExhausted(f"stream ended before digit {k}")
         return self._sums[k]
 
-    def prefix_max(self, k: int) -> int:
-        if not self.ensure(k):
-            raise StreamExhausted(f"stream ended before digit {k}")
-        return self._prefix_max[k]
-
-    def trimmed_sum(self, k: int) -> int:
-        """S_k minus the largest digit among the first k."""
-        return self.partial_sum(k) - self.prefix_max(k)
-
-    @property
-    def max_digit(self) -> int:
-        return self._prefix_max[-1]
-
     def index_exceeding(self, n: int) -> Optional[int]:
         """Smallest k with S_k > n, or None if the stream ends first."""
         while self._sums[-1] <= n:
@@ -388,6 +381,35 @@ class DigitStream:
                 return None
         # the stream may already extend past n from an earlier larger query
         return bisect_right(self._sums, n)
+
+
+def orbit_records(digits: Iterable[int], checkpoints: Iterable[int]) -> Iterator[dict]:
+    """One pass over ``digits``, yielding the orbit's statistics at each checkpoint k.
+
+    A record holds ``k``, the digit ``a`` = a_k, the sum ``S`` = S_k, the
+    ``trimmed`` sum (S_k minus the largest of the first k digits), that
+    ``max_digit``, and the ``geometric_mean`` exp((1/k) sum log a_j), whose
+    log-sum is accumulated in digit order.  Checkpoints are sorted and
+    de-duplicated; the scan stops after the last one, or with the records it
+    reached when a finite ``digits`` ends first.
+    """
+    cps = sorted(set(int(c) for c in checkpoints))
+    if not cps or cps[0] < 1:
+        raise ValueError("checkpoints must be positive")
+    remaining = iter(cps)
+    cp = next(remaining)
+    s = top = 0
+    log_sum = 0.0
+    for k, a in enumerate(digits, 1):
+        s += a
+        log_sum += log(a)
+        if a > top:
+            top = a
+        if k == cp:
+            yield {"k": k, "a": a, "S": s, "trimmed": s - top, "max_digit": top, "geometric_mean": exp(log_sum / k)}
+            cp = next(remaining, None)
+            if cp is None:
+                return
 
 
 def digits_of_rational(p: int, q: int, max_digits: Optional[int] = None) -> DigitStream:
@@ -402,25 +424,6 @@ def digits_of_rational(p: int, q: int, max_digits: Optional[int] = None) -> Digi
         digits.append(m)
         q, p = p, r
     return DigitStream.from_digits(digits)
-
-
-def digit_sums(stream: DigitStream, n: int) -> list[int]:
-    """The exact prefix sums S_1 .. S_n."""
-    if not stream.ensure(n):
-        raise StreamExhausted(f"stream ended before digit {n}")
-    return [stream.partial_sum(k) for k in range(1, n + 1)]
-
-
-def geometric_mean(stream: DigitStream, n: int) -> float:
-    """exp((1/n) * sum(log a_k)), accumulated in log space."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not stream.ensure(n):
-        raise StreamExhausted(f"stream ended before digit {n}")
-    total = 0.0
-    for k in range(1, n + 1):
-        total += log(stream.digit(k))
-    return exp(total / n)
 
 
 def gauss_iteration_oracle(prefix: int, bits: int, count: int, precision: int = 4096) -> list[int]:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sampling
-from .exact import DEFAULT_REFINE_CAP, DigitStream, NonGenericPointError
+from .exact import DEFAULT_REFINE_CAP, DigitStream, NonGenericPointError, orbit_records
 from .farey import fluctuation
 from .stats import EmpiricalDistribution, TailReport, ks_two_sample, ks_uniform
 
@@ -225,7 +225,7 @@ class OrbitReport:
 
 def run_khinchin(cfg: ExperimentConfig) -> OrbitReport:
     """Geometric-mean trajectory of one seeded digit orbit."""
-    records = sampling.orbit_checkpoints(cfg.master_seed, 0, cfg.checkpoints)
+    records = list(orbit_records(sampling.sampled_digits(cfg.master_seed, 0), cfg.checkpoints))
     return OrbitReport(
         checkpoints=tuple(r["k"] for r in records),
         records=tuple(records),
@@ -236,7 +236,7 @@ def run_khinchin(cfg: ExperimentConfig) -> OrbitReport:
 
 def run_diamond_vaaler(cfg: ExperimentConfig) -> OrbitReport:
     """Trimmed-sum trajectory S_n^flat / (n log n) of one seeded orbit."""
-    records = sampling.orbit_checkpoints(cfg.master_seed, 0, cfg.checkpoints)
+    records = list(orbit_records(sampling.sampled_digits(cfg.master_seed, 0), cfg.checkpoints))
     for rec in records:
         k = rec["k"]
         rec["trimmed_ratio"] = rec["trimmed"] / (k * log(k))

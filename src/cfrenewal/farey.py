@@ -52,9 +52,6 @@ class RenewalTrace:
     sigma_n: int
     in_K_n: bool
 
-    def kac(self) -> float:
-        return kac_process(self.sigma_n, self.n)
-
 
 @dataclass(frozen=True)
 class FluctuationRecord:

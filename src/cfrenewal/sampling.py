@@ -25,7 +25,10 @@ One 64-bit block of the trial's keyed bit stream is consumed per draw, so
 results are a pure function of (master_seed, stream_index) and independent
 of scheduling.
 
-The vectorized scans run one trial per lane at a time, in place on
+A single orbit, :func:`sampled_digits`, runs the scalar chain with its
+uniforms drawn ``_CHUNK`` at a time; stepping it as one lane of a vectorized
+scan costs about 40 times as much per digit.  Lanes serve many trials: the
+vectorized scans run one trial per lane at a time, in place on
 :class:`~cfrenewal.bits.UniformLanes`: ``_DigitLanes`` steps the digit chain
 and ``_RunLanes`` the Lasota-Yorke run chain, each with the scalar sampler's
 operations in its order, so a lane reproduces its trial's scalar chain
@@ -45,79 +48,26 @@ visit reaches a horizon.
 
 from __future__ import annotations
 
-from math import exp, log
+from itertools import count
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bits import UniformLanes, block64, stream_key, stream_keys_np, uniform_from_block, uniforms_np
+from .bits import UniformLanes, stream_key, stream_keys_np, uniforms_np
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 10  # uniforms per draw of a single orbit; a lone first digit draws a whole chunk
 _LANES = 1 << 14  # lanes in one crossing pool or one lockstep block
 
 
 def sampled_digits(master_seed: int, stream_index: int) -> Iterator[int]:
-    """Endless digit iterator for one trial, one uniform per digit."""
-    key = stream_key(master_seed, stream_index)
-    r = 0.0
-    j = 0
-    while True:
-        v = uniform_from_block(block64(key, j))
-        j += 1
-        a = int((1.0 + r * (1.0 - v)) / v)
-        r = 1.0 / (a + r)
-        yield a
-
-
-def orbit_checkpoints(
-    master_seed: int,
-    stream_index: int,
-    checkpoints: Sequence[int],
-) -> list[dict]:
-    """Scan one sampled digit orbit, reporting at fixed digit counts.
-
-    Returns one record per checkpoint k: digit sum S_k, trimmed sum
-    (S_k minus the largest digit so far), largest digit, and the running
-    geometric mean of the first k digits.
-    """
-    cps = sorted(set(int(c) for c in checkpoints))
-    if not cps or cps[0] < 1:
-        raise ValueError("checkpoints must be positive")
-    total = cps[-1]
+    """Endless digit iterator for one trial, one uniform per digit, drawn ``_CHUNK`` at a time."""
     key = np.uint64(stream_key(master_seed, stream_index))
     r = 0.0
-    s = 0
-    log_sum = 0.0
-    max_digit = 0
-    k = 0
-    out = []
-    next_cp = iter(cps)
-    cp = next(next_cp)
-    while k < total:
-        m = min(_CHUNK, total - k)
-        vs = uniforms_np(key, np.arange(k, k + m, dtype=np.uint64))
-        for v in vs.tolist():
+    for j in count(0, _CHUNK):
+        for v in uniforms_np(key, np.arange(j, j + _CHUNK, dtype=np.uint64)).tolist():
             a = int((1.0 + r * (1.0 - v)) / v)
             r = 1.0 / (a + r)
-            s += a
-            log_sum += log(a)
-            if a > max_digit:
-                max_digit = a
-            k += 1
-            if k == cp:
-                out.append(
-                    {
-                        "k": k,
-                        "S": s,
-                        "trimmed": s - max_digit,
-                        "max_digit": max_digit,
-                        "geometric_mean": exp(log_sum / k),
-                    }
-                )
-                cp = next(next_cp, None)
-        if cp is None:
-            break
-    return out
+            yield a
 
 
 class _Lanes:

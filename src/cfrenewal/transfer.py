@@ -207,10 +207,6 @@ class ConeReport:
     min_slope: float
     max_second_difference: float
 
-    @property
-    def in_cone(self) -> bool:
-        return self.min_slope >= -1e-9 and self.max_second_difference <= 1e-9
-
 
 def cone_check(f: GridFunction) -> ConeReport:
     """Finite-difference monotonicity and concavity diagnostics.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -269,6 +270,7 @@ def test_config_rejected_where_not_read(tmp_path, capsys, argv):
         ("simulate", "--trials", "10", "--n", "100", "--source", "exact", "--refine-cap", "0"),
         ("simulate", "--trials", "10", "--n", "100", "--source", "exact", "--refine-cap", "-5"),
         ("expand", "--seed", "1", "--refine-cap", "0"),
+        ("classic", "--which", "khinchin", "--n", "0"),
     ],
 )
 def test_counts_below_one_exit_2(tmp_path, capsys, argv):
@@ -315,12 +317,15 @@ def test_key_outside_64_bits_exit_2(tmp_path, capsys, argv, flag, value):
         (("classic", "--which", "diamond-vaaler", "--n", "1000", "--workers", "2"), "--workers"),
         (("classic", "--which", "diamond-vaaler", "--n", "1"), "--n"),
         (("classic", "--which", "weak-law", "--trials", "50", "--n", "1"), "--n"),
+        (("expand", "--constant", "golden", "--count", "3", "--stream", "5"), "--stream"),
+        (("expand", "--rational", "3/7", "--count", "3", "--refine-cap", "9"), "--refine-cap"),
     ],
 )
 def test_classic_flags_it_cannot_honour_exit_2(tmp_path, capsys, argv, flag):
     # stable needs a pair of digit counts, weak-law one, and the orbit
     # experiments run a single orbit; anything else would be dropped silently.
-    # weak-law and diamond-vaaler divide by log n, which is 0 at n = 1
+    # weak-law and diamond-vaaler divide by log n, which is 0 at n = 1.
+    # expand's stream index and refinement cap act on seeded digits only
     out = tmp_path / "out"
     code, _ = run_cli(*argv, "--out", str(out))
     assert code == 2
@@ -497,3 +502,28 @@ def test_every_setting_changes_config_hash(tmp_path, command, key):
         assert key in payload["config"]
         hashes.append(payload["config_hash"])
     assert hashes[0] != hashes[1]
+
+
+# SHA-256 of <out>.csv followed by <out>.json; a deliberate version or schema
+# bump changes these, and nothing else may
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("classic", "--which", "khinchin"),
+         "319555da78aaa44963ffa97c9dece6a574d85fca9b1c4b4dbe4ec1a26f94b1ce"),
+        (("classic", "--which", "diamond-vaaler", "--n", "1000", "--n", "10000", "--n", "100000", "--n", "1000000"),
+         "f547ae44fabc777e404632d6e45725dce74057b7372277905d05c863f9b17de3"),
+        (("expand", "--seed", "5", "--stream", "3", "--count", "300"),
+         "c206e6f22642920f1b80014463c971ba7bef7203513181e421302e9b1c30e56b"),
+        (("expand", "--rational", "113/355", "--count", "30"),
+         "c04c772eea0ac409984be126956723d74cc1e13797c16ea5b0aac09cdaba196d"),
+        (("expand", "--constant", "sqrt2", "--count", "10"),
+         "bbcf3ce7434b877a831a9aac1039a97f3e1ac9e1db2a93f84415ca500f99c8a5"),
+    ],
+)
+def test_orbit_outputs_byte_identical(tmp_path, argv, digest):
+    stem = tmp_path / "out"
+    code, _ = run_cli(*argv, "--out", str(stem))
+    assert code == 0
+    data = stem.with_suffix(".csv").read_bytes() + stem.with_suffix(".json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

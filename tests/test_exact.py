@@ -16,10 +16,9 @@ from cfrenewal.exact import (
     MobiusState,
     NonGenericPointError,
     StreamExhausted,
-    digit_sums,
     digits_of_rational,
     gauss_iteration_oracle,
-    geometric_mean,
+    orbit_records,
 )
 
 
@@ -30,7 +29,6 @@ def test_golden_ratio_fixed_point_digits():
     stream = DigitStream.constant(1)
     assert [stream.digit(k) for k in range(1, 8)] == [1] * 7
     assert stream.partial_sum(5) == 5
-    assert stream.trimmed_sum(5) == 4
 
 
 def test_sqrt2_minus_one_digits_all_twos():
@@ -134,7 +132,7 @@ def test_emit_maps_interval_through_gauss_step():
 
 def test_digit_sum_law_exact_integers():
     stream = DigitStream.from_seed(77, 0)
-    sums = digit_sums(stream, 500)
+    sums = [stream.partial_sum(k) for k in range(1, 501)]
     assert sums[0] == stream.digit(1)
     for k in range(2, 501):
         assert sums[k - 1] - sums[k - 2] == stream.digit(k)
@@ -142,22 +140,25 @@ def test_digit_sum_law_exact_integers():
 
 
 def test_digit_sums_reproducible_from_scratch():
-    first = digit_sums(DigitStream.from_seed(123, 9), 2000)
-    second = digit_sums(DigitStream.from_seed(123, 9), 2000)
-    assert first == second
+    first, second = DigitStream.from_seed(123, 9), DigitStream.from_seed(123, 9)
+    assert [first.partial_sum(k) for k in range(1, 2001)] == [second.partial_sum(k) for k in range(1, 2001)]
 
 
 def test_trimmed_sum_examples():
-    ones = DigitStream.constant(1)
-    assert ones.trimmed_sum(5) == 4
-    two_three = DigitStream.from_digits([2, 3])
-    assert digit_sums(two_three, 2) == [2, 5]
-    assert two_three.trimmed_sum(2) == 2
+    (ones,) = orbit_records(DigitStream.constant(1), [5])
+    assert (ones["S"], ones["trimmed"], ones["max_digit"]) == (5, 4, 1)
+    # a finite stream that ends before the last checkpoint yields the records it reached
+    two_three = list(orbit_records(DigitStream.from_digits([2, 3]), [1, 2, 3]))
+    assert [(r["k"], r["a"], r["S"], r["trimmed"], r["max_digit"]) for r in two_three] == [
+        (1, 2, 2, 0, 2),
+        (2, 3, 5, 2, 3),
+    ]
 
 
 def test_geometric_mean_constants():
-    assert geometric_mean(DigitStream.constant(1), 100) == pytest.approx(1.0)
-    assert geometric_mean(DigitStream.constant(2), 100) == pytest.approx(2.0)
+    for digit in (1, 2):
+        (rec,) = orbit_records(DigitStream.constant(digit), [100])
+        assert rec["geometric_mean"] == pytest.approx(float(digit))
 
 
 def test_nongeneric_point_detected_for_all_zero_bits():

@@ -10,14 +10,13 @@ import pytest
 
 from cfrenewal import sampling
 from cfrenewal.bits import block64, stream_key, uniform_from_block
-from cfrenewal.exact import DigitStream
+from cfrenewal.exact import DigitStream, orbit_records
 from cfrenewal.experiments import ExperimentConfig, fluctuation_samples
 from cfrenewal.farey import ly_orbit, ly_spent_time
 from cfrenewal.sampling import (
     digit_sum_crossings,
     digit_sums_at,
     ly_last_visits,
-    orbit_checkpoints,
     sampled_digits,
 )
 from cfrenewal.stats import EmpiricalDistribution, ks_two_sample
@@ -177,14 +176,39 @@ def test_digit_sums_at_equal_scalar_walk():
 
 
 def test_orbit_checkpoints_consistency():
-    recs = orbit_checkpoints(7, 0, [100, 1000])
+    recs = list(orbit_records(sampled_digits(7, 0), [1000, 100, 1000]))
     digs = list(islice(sampled_digits(7, 0), 1000))
+    assert [r["k"] for r in recs] == [100, 1000]
+    assert [r["a"] for r in recs] == [digs[99], digs[999]]
     assert recs[0]["S"] == sum(digs[:100])
     assert recs[1]["S"] == sum(digs)
     assert recs[1]["max_digit"] == max(digs)
     assert recs[1]["trimmed"] == sum(digs) - max(digs)
     gm = np.exp(np.mean(np.log(digs)))
     assert recs[1]["geometric_mean"] == pytest.approx(gm, rel=1e-12)
+    for cps in ([], [0, 5], [-1]):
+        with pytest.raises(ValueError, match="checkpoints must be positive"):
+            list(orbit_records(sampled_digits(7, 0), cps))
+
+
+def _block_chain(seed: int, trial: int, count: int) -> list[int]:
+    """The first ``count`` digits of one trial, one scalar block per digit."""
+    key = stream_key(seed, trial)
+    r, out = 0.0, []
+    for j in range(count):
+        v = uniform_from_block(block64(key, j))
+        a = int((1.0 + r * (1.0 - v)) / v)
+        r = 1.0 / (a + r)
+        out.append(a)
+    return out
+
+
+def test_sampled_digits_equal_block_by_block_chain():
+    # chunked draws must not shift a digit across a chunk boundary
+    count = 5 * sampling._CHUNK // 2
+    for seed, trial in ((3, 0), (3, 1), (8, 10**6)):
+        assert list(islice(sampled_digits(seed, trial), count)) == _block_chain(seed, trial, count)
+    assert next(sampled_digits(5, 2)) == _block_chain(5, 2, 1)[0]
 
 
 def test_sampled_digits_deterministic():
