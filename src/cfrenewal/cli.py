@@ -142,7 +142,14 @@ def _render(head: Sequence[str], columns: Sequence[Sequence]) -> Iterator[str]:
 
 
 def _write_text(path: str, chunks: Iterable[str]) -> None:
-    """Write the chunks to ``path`` through a temp file and a rename.
+    """Write the chunks to ``path`` through a temp file, an unlink and a rename.
+
+    The temp file is written and closed first; only then is an existing
+    ``path`` removed and the temp file renamed onto it.  A reader sees the
+    old file, briefly no file, or the new file, never a partial one.  No
+    ``fsync`` is made.  The old file goes first because ext4's
+    ``auto_da_alloc`` treats a rename over an existing file as a replace and
+    writes the new data back inside ``rename(2)``.
 
     The chunks may be rendered lazily, so any exception, not only an I/O
     error, removes the temp file before it propagates.
@@ -151,6 +158,10 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -161,8 +172,11 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
 def _emit(args, record: OutputRecord) -> None:
     """Write the record as CSV and JSON (or print when no --out is given).
 
-    Writes go through a temp-and-rename, and any failure removes the sibling
-    file already written by this invocation, so outputs are all-or-nothing.
+    Each file is written by :func:`_write_text`: temp file, unlink of the old
+    file, rename, with no ``fsync``.  Any failure removes the sibling file
+    already written by this invocation, so outputs are all-or-nothing.  A
+    failure while a file is rendered leaves that file's previous version in
+    place, since the old file is removed only once the temp file is complete.
     """
     summary = dict(record.summary)
     summary.setdefault("experiment", record.experiment)

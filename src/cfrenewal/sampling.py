@@ -26,8 +26,9 @@ results are a pure function of (master_seed, stream_index) and independent
 of scheduling.
 
 A single orbit, :func:`sampled_digits`, runs the scalar chain with its
-uniforms drawn ``_CHUNK`` at a time; stepping it as one lane of a vectorized
-scan costs about 40 times as much per digit.  Lanes serve many trials: the
+uniforms drawn in contiguous blocks of 1, 2, 4, ... up to ``_CHUNK``, so a
+caller that takes one digit draws one uniform; stepping it as one lane of a
+vectorized scan costs about 40 times as much per digit.  Lanes serve many trials: the
 vectorized scans run one trial per lane at a time, in place on
 :class:`~cfrenewal.bits.UniformLanes`: ``_DigitLanes`` steps the digit chain
 and ``_RunLanes`` the Lasota-Yorke run chain, each with the scalar sampler's
@@ -48,26 +49,38 @@ visit reaches a horizon.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bits import UniformLanes, stream_key, stream_keys_np, uniforms_np
+from .bits import UniformLanes, block64, stream_key, stream_keys_np, uniform_from_block, uniforms_np
 
-_CHUNK = 1 << 10  # uniforms per draw of a single orbit; a lone first digit draws a whole chunk
+_CHUNK = 1 << 10  # largest block of uniforms one orbit draws at a time
+_VECTOR_MIN = 1 << 5  # smaller blocks are drawn one block64 at a time, cheaper than a uniforms_np call
 _LANES = 1 << 14  # lanes in one crossing pool or one lockstep block
 
 
 def sampled_digits(master_seed: int, stream_index: int) -> Iterator[int]:
-    """Endless digit iterator for one trial, one uniform per digit, drawn ``_CHUNK`` at a time."""
-    key = np.uint64(stream_key(master_seed, stream_index))
+    """Endless digit iterator for one trial, one uniform per digit.
+
+    The uniforms are drawn in contiguous blocks whose size doubles from 1 up
+    to ``_CHUNK``, so the digits do not depend on the block sizes.
+    """
+    key = stream_key(master_seed, stream_index)
+    np_key = np.uint64(key)
     r = 0.0
-    for j in count(0, _CHUNK):
-        for v in uniforms_np(key, np.arange(j, j + _CHUNK, dtype=np.uint64)).tolist():
+    j, size = 0, 1
+    while True:
+        if size < _VECTOR_MIN:
+            block = [uniform_from_block(block64(key, i)) for i in range(j, j + size)]
+        else:
+            block = uniforms_np(np_key, np.arange(j, j + size, dtype=np.uint64)).tolist()
+        for v in block:
             a = int((1.0 + r * (1.0 - v)) / v)
             r = 1.0 / (a + r)
             yield a
+        j += size
+        size = min(2 * size, _CHUNK)
 
 
 class _Lanes:

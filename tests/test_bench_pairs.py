@@ -1,8 +1,9 @@
-"""The pair runner's seed parsing, pair statistics and claim rule."""
+"""The pair runner's seed parsing, pair statistics, claim rule and raw run medians."""
 
 from __future__ import annotations
 
 import argparse
+import json
 import importlib.util
 from pathlib import Path
 
@@ -47,3 +48,13 @@ def test_claim_needs_nine_tenths_of_pairs_and_more_than_the_parent_iqr():
     # every pair won, but by less than the spread of the parent's own runs
     slight = [v - 0.01 for v in parent]
     assert not bench_pairs.claim_verdict(bench_pairs.compare(parent, slight, True, 0.25), True)["met"]
+
+
+def test_raw_medians_read_the_runs_result_file(tmp_path):
+    out = tmp_path / "benchmarks" / "out" / "simulate-short-seed7-trace0"
+    out.mkdir(parents=True)
+    children = [{"setup_s": 0.2, "reps": [{"s": 0.18, "probe_s": 0.1}, {"s": 0.55, "probe_s": 0.12}]},
+                {"setup_s": 0.2, "reps": [{"s": 0.41, "probe_s": 0.11}]}]
+    (out / "result.json").write_text(json.dumps({"workload": "simulate-short", "children": children}))
+    raw = bench_pairs.raw_medians(tmp_path, "simulate-short", 7)
+    assert raw == {"reps": 3, "rep_s": 0.41, "probe_s": 0.11}

@@ -406,6 +406,61 @@ def test_written_csv_removed_when_json_fails(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+_RERUN = ("simulate", "--trials", "5000", "--n", "100", "--n", "1000")
+
+
+def test_rerun_replaces_both_files_and_leaves_no_temp(tmp_path):
+    stem = tmp_path / "run"
+    assert run_cli(*_RERUN, "--seed", "5", "--out", str(stem))[0] == 0
+    first = {s: (tmp_path / f"run{s}").read_bytes() for s in (".csv", ".json")}
+    assert run_cli(*_RERUN, "--seed", "6", "--out", str(tmp_path / "fresh"))[0] == 0
+    assert run_cli(*_RERUN, "--seed", "6", "--out", str(stem))[0] == 0
+    for suffix in (".csv", ".json"):
+        new = (tmp_path / f"run{suffix}").read_bytes()
+        assert new == (tmp_path / f"fresh{suffix}").read_bytes() != first[suffix]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "fresh.json", "run.csv", "run.json"]
+
+
+def test_rename_never_lands_on_an_existing_file(tmp_path, monkeypatch):
+    # a rename over an existing file is what makes ext4 write the data back
+    renames = []
+    real_replace = cli.os.replace
+
+    def checked_replace(src, dst):
+        assert not cli.os.path.lexists(dst)
+        renames.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", checked_replace)
+    stem = tmp_path / "run"
+    for _ in range(2):
+        assert run_cli(*_RERUN, "--seed", "5", "--out", str(stem))[0] == 0
+    assert renames == [str(stem) + ".csv", str(stem) + ".json"] * 2
+
+
+def test_rendering_failure_on_rerun_keeps_previous_files(tmp_path, monkeypatch):
+    # the old file is removed only once the temp file is complete, so a failed
+    # rerun leaves the previous run's outputs byte for byte
+    stem = tmp_path / "part"
+    assert run_cli(*_RERUN, "--seed", "5", "--out", str(stem))[0] == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    calls = []
+    real_block = cli._csv_block
+
+    def failing_block(columns, lo, hi):
+        calls.append(lo)
+        if len(calls) == 2:
+            raise RuntimeError("formatter failed")
+        return real_block(columns, lo, hi)
+
+    monkeypatch.setattr(cli, "_csv_block", failing_block)
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        run_cli(*_RERUN, "--seed", "6", "--out", str(stem))
+    assert calls == [0, cli.BLOCK_ROWS]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert sorted(before) == ["part.csv", "part.json"]
+
+
 def _rowwise_reference(columns) -> str:
     # the row-at-a-time formatting the block renderer must reproduce exactly
     lines = []

@@ -13,7 +13,9 @@ that goes first alternating from pair to pair; T is the ``run_seconds`` of the
 parent's ``BENCHMARK.json``.  For each end-to-end metric of
 the parent's ``BENCHMARK.json`` the record holds the runs, the median and
 quartiles of each side, the pairs the change won (ties count for neither) and the
-relative change of the medians against the metric's bound.
+relative change of the medians against the metric's bound.  ``raw_medians``
+holds, per run, the repetition count and the median raw repetition and
+probe seconds, read from the run's ``benchmarks/out/.../result.json``.
 
 ``--hash W:SEEDS`` runs workload W's command at each seed (its command line
 comes from each checkout's own ``benchmarks/workloads.py``) and
@@ -117,6 +119,19 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
+def raw_medians(tree: Path, workload: str, seed: int) -> dict:
+    """The median raw repetition and probe seconds of one run, from its ``result.json``.
+
+    ``wall_s`` is their ratio per repetition, so these show whether a shift
+    comes from the workload or from the probe, and a bimodal side shows in
+    its per-run ``rep_s``."""
+    result = json.loads((tree / "benchmarks" / "out" / f"{workload}-seed{seed}-trace0" / "result.json")
+                        .read_text(encoding="utf-8"))
+    reps = [r for c in result["children"] for r in c["reps"]]
+    return {"reps": len(reps), "rep_s": statistics.median(r["s"] for r in reps),
+            "probe_s": statistics.median(r["probe_s"] for r in reps)}
+
+
 def summary(runs: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else (runs[0],) * 3
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
@@ -214,12 +229,14 @@ def main() -> int:
 
     for workload, seeds in args.run:
         runs = {"parent": [], "change": []}
-        entry = {"seeds": [], "all_correct": True, "failed": 0, "attempted": 0}
+        entry = {"seeds": [], "all_correct": True, "failed": 0, "attempted": 0,
+                 "raw_medians": {"parent": [], "change": []}}
         record["workloads"][workload] = entry
         for k, seed in enumerate(seeds):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
                 result = bench_run(trees[side], workload, seed, seconds)
                 runs[side].append(result)
+                entry["raw_medians"][side].append(raw_medians(trees[side], workload, seed))
                 entry["all_correct"] &= bool(result["correct"])
                 entry["failed"] += result["failed"]
                 entry["attempted"] += result["attempted"]
