@@ -146,10 +146,13 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
 
     The temp file is written and closed first; only then is an existing
     ``path`` removed and the temp file renamed onto it.  A reader sees the
-    old file, briefly no file, or the new file, never a partial one.  No
-    ``fsync`` is made.  The old file goes first because ext4's
-    ``auto_da_alloc`` treats a rename over an existing file as a replace and
-    writes the new data back inside ``rename(2)``.
+    old file, briefly no file, or the new file, never a partial one.  The
+    old file goes first because ext4's ``auto_da_alloc`` treats a rename
+    over an existing file as a replace and writes the new data back inside
+    ``rename(2)``.  The price: the replacement is not atomic.  A failure or
+    interrupt between the unlink and the rename leaves neither file at
+    ``path``, and since no ``fsync`` is made either, a system crash soon
+    after a rerun may leave an empty file there.
 
     The chunks may be rendered lazily, so any exception, not only an I/O
     error, removes the temp file before it propagates.

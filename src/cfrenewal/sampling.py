@@ -53,10 +53,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bits import UniformLanes, block64, stream_key, stream_keys_np, uniform_from_block, uniforms_np
+from .bits import UniformLanes, stream_key, stream_keys_np, uniforms_np
 
 _CHUNK = 1 << 10  # largest block of uniforms one orbit draws at a time
-_VECTOR_MIN = 1 << 5  # smaller blocks are drawn one block64 at a time, cheaper than a uniforms_np call
 _LANES = 1 << 14  # lanes in one crossing pool or one lockstep block
 
 
@@ -66,16 +65,11 @@ def sampled_digits(master_seed: int, stream_index: int) -> Iterator[int]:
     The uniforms are drawn in contiguous blocks whose size doubles from 1 up
     to ``_CHUNK``, so the digits do not depend on the block sizes.
     """
-    key = stream_key(master_seed, stream_index)
-    np_key = np.uint64(key)
+    key = np.uint64(stream_key(master_seed, stream_index))
     r = 0.0
     j, size = 0, 1
     while True:
-        if size < _VECTOR_MIN:
-            block = [uniform_from_block(block64(key, i)) for i in range(j, j + size)]
-        else:
-            block = uniforms_np(np_key, np.arange(j, j + size, dtype=np.uint64)).tolist()
-        for v in block:
+        for v in uniforms_np(key, np.arange(j, j + size, dtype=np.uint64)).tolist():
             a = int((1.0 + r * (1.0 - v)) / v)
             r = 1.0 / (a + r)
             yield a

@@ -33,6 +33,8 @@ def test_compare_counts_wins_and_flags_the_bound():
     assert not result["worse_than_bound"]
     assert bench_pairs.compare([1.0, 1.0], [1.3, 1.3], True, 0.25)["worse_than_bound"]
     assert not bench_pairs.compare([1.0, 1.0], [1.3, 1.3], False, 0.25)["worse_than_bound"]
+    # a comparison without a bound, as for the raw repetition seconds, flags nothing
+    assert not bench_pairs.compare([1.0, 1.0], [1.3, 1.3], True, None)["worse_than_bound"]
 
 
 def test_claim_needs_nine_tenths_of_pairs_and_more_than_the_parent_iqr():
@@ -57,4 +59,4 @@ def test_raw_medians_read_the_runs_result_file(tmp_path):
                 {"setup_s": 0.2, "reps": [{"s": 0.41, "probe_s": 0.11}]}]
     (out / "result.json").write_text(json.dumps({"workload": "simulate-short", "children": children}))
     raw = bench_pairs.raw_medians(tmp_path, "simulate-short", 7)
-    assert raw == {"reps": 3, "rep_s": 0.41, "probe_s": 0.11}
+    assert raw == {"reps": 3, "rep_s": 0.41, "probe_s": 0.11, "first_rep_s": 0.295}

@@ -461,6 +461,27 @@ def test_rendering_failure_on_rerun_keeps_previous_files(tmp_path, monkeypatch):
     assert sorted(before) == ["part.csv", "part.json"]
 
 
+@pytest.mark.parametrize("failing, kept", [(".csv", ["run.json"]), (".json", [])])
+def test_rename_failure_on_rerun_loses_the_old_file(tmp_path, monkeypatch, failing, kept):
+    # the old file is already gone when the rename runs, so a rename that
+    # fails leaves neither the old nor the new file at that path; the run
+    # exits 4, removes its temp file and the other file it wrote
+    stem = tmp_path / "run"
+    assert run_cli(*_RERUN, "--seed", "5", "--out", str(stem))[0] == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_replace = cli.os.replace
+
+    def failing_replace(src, dst):
+        assert not cli.os.path.lexists(dst)
+        if dst.endswith(failing):
+            raise OSError("rename failed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    assert run_cli(*_RERUN, "--seed", "6", "--out", str(stem))[0] == 4
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {name: before[name] for name in kept}
+
+
 def _rowwise_reference(columns) -> str:
     # the row-at-a-time formatting the block renderer must reproduce exactly
     lines = []

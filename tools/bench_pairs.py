@@ -14,8 +14,12 @@ parent's ``BENCHMARK.json``.  For each end-to-end metric of
 the parent's ``BENCHMARK.json`` the record holds the runs, the median and
 quartiles of each side, the pairs the change won (ties count for neither) and the
 relative change of the medians against the metric's bound.  ``raw_medians``
-holds, per run, the repetition count and the median raw repetition and
-probe seconds, read from the run's ``benchmarks/out/.../result.json``.
+holds, per run, the repetition count, the median raw repetition and probe
+seconds and the median first repetition of each worker, read from the run's
+``benchmarks/out/.../result.json``; ``rep_s`` and ``first_rep_s`` compare
+the per-run values of the two sides.  A worker's first repetition writes
+into a fresh output directory, every later one over the files of the one
+before, so ``first_rep_s`` shows what a change does to a first write.
 
 ``--hash W:SEEDS`` runs workload W's command at each seed (its command line
 comes from each checkout's own ``benchmarks/workloads.py``) and
@@ -124,12 +128,14 @@ def raw_medians(tree: Path, workload: str, seed: int) -> dict:
 
     ``wall_s`` is their ratio per repetition, so these show whether a shift
     comes from the workload or from the probe, and a bimodal side shows in
-    its per-run ``rep_s``."""
+    its per-run ``rep_s``.  ``first_rep_s`` is the median over the workers
+    of their first repetition, the only one that writes no file over another."""
     result = json.loads((tree / "benchmarks" / "out" / f"{workload}-seed{seed}-trace0" / "result.json")
                         .read_text(encoding="utf-8"))
     reps = [r for c in result["children"] for r in c["reps"]]
     return {"reps": len(reps), "rep_s": statistics.median(r["s"] for r in reps),
-            "probe_s": statistics.median(r["probe_s"] for r in reps)}
+            "probe_s": statistics.median(r["probe_s"] for r in reps),
+            "first_rep_s": statistics.median(c["reps"][0]["s"] for c in result["children"])}
 
 
 def summary(runs: list[float]) -> dict:
@@ -137,7 +143,7 @@ def summary(runs: list[float]) -> dict:
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
 
 
-def compare(parent: list[float], change: list[float], lower_is_better: bool, bound: float) -> dict:
+def compare(parent: list[float], change: list[float], lower_is_better: bool, bound: float | None) -> dict:
     sign = 1 if lower_is_better else -1
     p, c = summary(parent), summary(change)
     rel = (c["median"] - p["median"]) / p["median"]
@@ -147,7 +153,7 @@ def compare(parent: list[float], change: list[float], lower_is_better: bool, bou
         "change_wins": sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0),
         "median_change_rel": rel,
         "bound": bound,
-        "worse_than_bound": sign * rel > bound,
+        "worse_than_bound": bound is not None and sign * rel > bound,
     }
 
 
@@ -245,6 +251,9 @@ def main() -> int:
             for name, m in metrics.items():
                 values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
                 entry[name] = compare(values["parent"], values["change"], m["better"] == "lower", m["bound"])
+            for key in ("rep_s", "first_rep_s"):
+                values = {side: [r[key] for r in entry["raw_medians"][side]] for side in runs}
+                entry[key] = compare(values["parent"], values["change"], True, None)
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{name} {runs['parent'][-1]['metrics'][name]['value']:.4g} -> "
                 f"{runs['change'][-1]['metrics'][name]['value']:.4g}" for name in metrics), flush=True)
