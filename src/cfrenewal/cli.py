@@ -112,31 +112,91 @@ def _meta(config: dict) -> dict:
     }
 
 
-def _format_column(col) -> list[str]:
-    """Each value as ``_fmt`` would print it.
+class _ReprTable:
+    """A float64 column with one ``repr`` per distinct bit pattern.
 
-    A float64 array is formatted once per distinct bit pattern: keying on the
-    bits rather than the values keeps ``-0.0`` apart from ``0.0`` and NaN exact.
+    Keying on the bits rather than the values keeps ``-0.0`` apart from
+    ``0.0`` and NaN exact.  Slicing gathers the rows' reprs as an ``S``
+    array, looking each row's bits up among the sorted distinct ones; no
+    per-row index is stored, so the column costs no memory beyond its table.
     """
-    if not isinstance(col, np.ndarray):
-        return list(map(_fmt, col))
-    if col.dtype != np.float64:
-        return list(map(str, col.tolist()))
-    _, first, inverse = np.unique(col.view(np.uint64), return_index=True, return_inverse=True)
-    reprs = [repr(v) for v in col[first].tolist()]
-    return [reprs[i] for i in inverse.tolist()]
+
+    def __init__(self, col: np.ndarray):
+        self.bits = col.view(np.uint64)
+        self.distinct = np.unique(self.bits)
+        self.table = np.array([repr(v) for v in self.distinct.view(np.float64).tolist()], dtype=np.bytes_)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.table[np.searchsorted(self.distinct, self.bits[rows])]
+
+
+def _digit_cells(col: np.ndarray) -> np.ndarray:
+    """An integer array's decimal digits, a ``-`` before negative values, NUL-padded on the left."""
+    if col.dtype.kind == "u":
+        mag, neg = col.astype(np.uint64, copy=False), None
+    else:
+        signed = col.astype(np.int64, copy=False)
+        # the magnitude as uint64, so that -2**63 is right
+        mag, neg = np.abs(signed).view(np.uint64), signed < 0
+    sign = int(neg is not None and neg.any())
+    width = sign + len(str(int(mag.max())))
+    cells = np.zeros((len(col), width), np.uint8)
+    for j in range(width - 1, sign - 1, -1):
+        rest = mag // 10
+        digit = (mag - rest * 10).astype(np.uint8)
+        digit += ord("0")
+        if j < width - 1:
+            # a zero left of the last position leads: no digit there
+            digit[mag == 0] = 0
+        cells[:, j] = digit
+        mag = rest
+    if sign:
+        cells[neg, 0] = ord("-")
+    return cells
+
+
+def _cells(col) -> np.ndarray:
+    """The fields of ``col`` as a NUL-padded ``(rows, width)`` uint8 matrix, as ``_fmt`` prints them.
+
+    Integer arrays get their digits from numpy, and an ``S`` array (a
+    :class:`_ReprTable` slice) is taken as the fields' bytes.  Anything else
+    is formatted value by value with ``_fmt`` and encoded as UTF-8.
+    """
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return _digit_cells(col)
+    if not (isinstance(col, np.ndarray) and col.dtype.kind == "S"):
+        values = col.tolist() if isinstance(col, np.ndarray) else col
+        col = np.array([_fmt(v).encode() for v in values], dtype=np.bytes_)
+    return col.view(np.uint8).reshape(len(col), col.itemsize)
 
 
 def _csv_block(columns: Sequence[Sequence], lo: int, hi: int) -> str:
-    """Rows ``lo:hi`` as newline-terminated CSV lines."""
-    cols = [_format_column(c[lo:hi]) for c in columns]
-    return "\n".join(map(",".join, zip(*cols, strict=True))) + "\n"
+    """Rows ``lo:hi`` as newline-terminated CSV lines.
+
+    Each column's slice becomes a cell matrix (:func:`_cells`); one
+    ``np.hstack`` joins them with ``,`` and ``\\n`` columns, and dropping
+    the NUL padding leaves the lines' bytes.  No field holds a NUL byte.
+    """
+    cells = [_cells(c[lo:hi]) for c in columns]
+    rows = len(cells[0])
+    comma, newline = (np.full((rows, 1), ord(ch), np.uint8) for ch in ",\n")
+    parts = [part for c in cells for part in (c, comma)]
+    parts[-1] = newline
+    block = np.hstack(parts)
+    return block[block != 0].tobytes().decode()
 
 
 def _render(head: Sequence[str], columns: Sequence[Sequence]) -> Iterator[str]:
-    """The head lines, then the columns' rows in blocks of ``BLOCK_ROWS``."""
+    """The head lines, then the columns' rows in blocks of ``BLOCK_ROWS``.
+
+    A float64 column's reprs are computed once for the whole column
+    (:class:`_ReprTable`), not once per block.
+    """
     yield "\n".join(head) + "\n"
     n_rows = len(columns[0]) if columns else 0
+    if not n_rows:
+        return
+    columns = [_ReprTable(c) if isinstance(c, np.ndarray) and c.dtype == np.float64 else c for c in columns]
     for lo in range(0, n_rows, BLOCK_ROWS):
         yield _csv_block(columns, lo, lo + BLOCK_ROWS)
 
@@ -173,7 +233,7 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
 
 
 def _emit(args, record: OutputRecord) -> None:
-    """Write the record as CSV and JSON (or print when no --out is given).
+    """Write the record as CSV and/or JSON, as ``--format`` says (printed when no --out is given).
 
     Each file is written by :func:`_write_text`: temp file, unlink of the old
     file, rename, with no ``fsync``.  Any failure removes the sibling file
@@ -206,8 +266,10 @@ def _emit(args, record: OutputRecord) -> None:
                     pass
             raise
     else:
-        sys.stdout.writelines(_render([header], record.columns))
-        print(json.dumps(summary, sort_keys=True))
+        if args.format in ("csv", "both"):
+            sys.stdout.writelines(_render([header], record.columns))
+        if args.format in ("json", "both"):
+            print(json.dumps(summary, sort_keys=True))
 
 
 # Each subcommand's settings: flag name -> (default, element type or choices).

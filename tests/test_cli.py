@@ -491,6 +491,11 @@ def _rowwise_reference(columns) -> str:
 
 
 _SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 0.1 + 0.2, 1 / 3]
+_INT64_EDGES = [-(2**63), 2**63 - 1, 0, -1, 9, 10, 99, 100, 10**18 - 1, 10**18, -(10**18), -10, -9]
+
+
+def _cycle(values, n_rows, dtype=None):
+    return np.array(values, dtype=dtype)[np.arange(n_rows) % len(values)]
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1])
@@ -501,9 +506,44 @@ def test_block_renderer_matches_rowwise_formatting(n_rows):
     floats[cli.BLOCK_ROWS - 4 : cli.BLOCK_ROWS + 1] = 0.1 + 0.2
     ints = (idx * 7919 % 1000 - 500).astype(np.int64)
     mixed = [[k, 2.5 * k, "end", "", -k][k % 5] for k in range(n_rows)]
-    columns = (ints, floats, mixed, np.log1p(idx.astype(np.float64)))
+    i32 = np.iinfo(np.int32)
+    columns = (
+        ints, floats, mixed, np.log1p(idx.astype(np.float64)),
+        # digits by numpy for every integer dtype, value by value for the rest
+        _cycle(_INT64_EDGES, n_rows, np.int64),
+        _cycle([i32.min, i32.max, 0, -1, 10], n_rows, np.int32),
+        _cycle([0, 9, 10, 2**63, 2**64 - 1, 10**19], n_rows, np.uint64),
+        _cycle([True, False, False], n_rows, bool),
+        _cycle([0.5, -7], n_rows, np.float32),
+        [""] * n_rows,
+        # non-ASCII text goes through as UTF-8
+        [["é", "ß∑", "日本", "x"][k % 4] for k in range(n_rows)],
+    )
     text = "".join(cli._render(["a,b,c,d"], columns))
     assert text == "a,b,c,d\n" + _rowwise_reference(columns)
+
+
+def test_block_renderer_shares_one_float_table_across_blocks(monkeypatch):
+    # one table per float column for the whole render, though the blocks'
+    # reprs differ in width, and a block or a column may hold a single value
+    built = []
+    real_table = cli._ReprTable
+
+    def counting_table(col):
+        built.append(len(col))
+        return real_table(col)
+
+    monkeypatch.setattr(cli, "_ReprTable", counting_table)
+    b = cli.BLOCK_ROWS
+    varied = np.concatenate([np.full(b, 0.5), 1 / np.arange(1.0, b + 1), np.full(3, -0.0)])
+    constant = np.full(len(varied), 2.5)
+    columns = (np.arange(len(varied)), varied, constant)
+    chunks = list(cli._render(["h"], columns))
+    assert built == [len(varied)] * 2
+    assert len(chunks) == 4
+    assert "".join(chunks) == "h\n" + _rowwise_reference(columns)
+    assert chunks[1].splitlines()[0] == "0,0.5,2.5"
+    assert chunks[2].splitlines()[2] == f"{b + 2},{1 / 3!r},2.5"
 
 
 @pytest.mark.parametrize(
@@ -516,14 +556,24 @@ def test_block_renderer_matches_rowwise_formatting(n_rows):
     ],
 )
 def test_stdout_matches_written_files(tmp_path, argv):
-    code, printed = run_cli(*argv)
-    assert code == 0
-    code, _ = run_cli(*argv, "--out", str(tmp_path / "out"))
-    assert code == 0
-    csv_lines = (tmp_path / "out.csv").read_text().splitlines()
-    assert csv_lines[0].startswith("# seed=")
-    summary = json.loads((tmp_path / "out.json").read_text())
-    assert printed.splitlines() == csv_lines[1:] + [json.dumps(summary, sort_keys=True)]
+    # without --out, --format selects what is printed, as it selects the files
+    for fmt in ("both", "csv", "json"):
+        code, printed = run_cli(*argv, "--format", fmt)
+        assert code == 0
+        stem = tmp_path / fmt / "out"
+        stem.parent.mkdir()
+        code, _ = run_cli(*argv, "--format", fmt, "--out", str(stem))
+        assert code == 0
+        kinds = [ext for ext in ("csv", "json") if fmt in (ext, "both")]
+        assert sorted(p.name for p in stem.parent.iterdir()) == [f"out.{ext}" for ext in kinds]
+        expected = []
+        if "csv" in kinds:
+            csv_lines = stem.with_suffix(".csv").read_text().splitlines()
+            assert csv_lines[0].startswith("# seed=")
+            expected += csv_lines[1:]
+        if "json" in kinds:
+            expected.append(json.dumps(json.loads(stem.with_suffix(".json").read_text()), sort_keys=True))
+        assert printed.splitlines() == expected
 
 
 # per subcommand: a cheap command line, and for each setting two additions to
@@ -598,6 +648,36 @@ def test_every_setting_changes_config_hash(tmp_path, command, key):
     ],
 )
 def test_orbit_outputs_byte_identical(tmp_path, argv, digest):
+    _assert_output_digest(tmp_path, argv, digest)
+
+
+# the same pin for the outputs of the columnar renderer's other callers: a
+# simulate run of two blocks, the certified source, operator rows with empty
+# oracle cells, and the tail and classic tables
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("simulate", "--seed", "7", "--trials", "5000", "--n", "100", "--n", "1000"),
+         "a657f1a7c14eb121b08ce1304918cc1faaa395c8b3036fcf24ad8e794f37dbd8"),
+        (("simulate", "--source", "exact", "--seed", "3", "--trials", "40", "--n", "100", "--n", "500"),
+         "9efea10cccf8ddaa772cd014c9e2c198a86102474c0948187ab1f298e8cb831e"),
+        (("operator", "--density", "one", "--n", "2", "--n", "16", "--n", "64"),
+         "1b36383efa64a79fa7e5002fd0014a50d65ba7e4a51b81364e3bcded5b9cf38e"),
+        (("tail", "--seed", "4", "--trials", "300", "--n", "1000", "--epsilon", "0.1", "--epsilon", "0.5"),
+         "122638c4bb81b6949caad5bc2e207867c044e013f9deb6523498221f9a6669a3"),
+        (("classic", "--which", "stable", "--trials", "300", "--n", "100", "--n", "1000"),
+         "f2b90e742e1f12f3541edaa00d48074b4fcf373b53a9be0870ed63b5c10498ea"),
+        (("classic", "--which", "ly", "--trials", "300", "--n", "1000", "--n", "5000"),
+         "27b26b7a1703ae3a8abbbcd69216c0340812abb04a4e7cbfcb3832a6f150466d"),
+        (("classic", "--which", "weak-law", "--trials", "200", "--n", "1000"),
+         "5543c22191c54339ec3db7daea20f26c5208928996e4d6bdc1f797d900343f1a"),
+    ],
+)
+def test_rendered_outputs_byte_identical(tmp_path, argv, digest):
+    _assert_output_digest(tmp_path, argv, digest)
+
+
+def _assert_output_digest(tmp_path, argv, digest):
     stem = tmp_path / "out"
     code, _ = run_cli(*argv, "--out", str(stem))
     assert code == 0
