@@ -36,15 +36,22 @@ operations in its order, so a lane reproduces its trial's scalar chain
 exactly, whatever the other lanes hold.  Both chains answer the same
 question, the last partial sum at or below each horizon, on one crossing
 scan, ``_last_sums``.  A serial run hands it all of its trials, and it scans
-them on one pool of at most ``_LANES`` lanes: a lane whose sum has passed
-the last horizon retires, its slot restarts on the next pending trial, and
-retired lanes are compacted away once no trial is pending, so a run has one
-tail of sparsely filled steps instead of one per chunk (chunks exist only
-for worker processes).  Digit sums start at S_0 = 0.  A Lasota-Yorke run of
-length ``run`` ends with a visit to (1/2, 1] and the next run starts one
-step later, so the visit times are the partial sums of the gaps ``run + 1``
-started at -1 (the first visit is at time run_1), and -1 is left where no
-visit reaches a horizon.
+them on one pool of at most ``_LANES`` lanes, ``_BLOCK`` = 16 steps at a
+time: each step writes the lanes' sums into one row of a block history, and
+crossings are checked once per block, where the last history entry at or
+below a horizon is the value there.  A lane whose sum has passed the last
+horizon retires at the next block end, so checking once per block costs
+each trial at most 15 extra uniforms.  A retired lane's slot restarts on
+the next pending trial, and retired lanes are compacted away once no trial
+is pending, so a run has one tail of sparsely filled steps instead of one
+per chunk (chunks exist only for worker processes).  The scan's sums are
+float64: the steps are integer-valued doubles and every recorded sum is an
+integer below its horizon, so the sums are exact below 2^53, and horizons
+must stay below 2^53; :func:`digit_sums_at` keeps exact int64 sums.  Digit
+sums start at S_0 = 0.  A Lasota-Yorke run of length ``run`` ends with a
+visit to (1/2, 1] and the next run starts one step later, so the visit
+times are the partial sums of the gaps ``run + 1`` started at -1 (the first
+visit is at time run_1), and -1 is left where no visit reaches a horizon.
 """
 
 from __future__ import annotations
@@ -57,6 +64,8 @@ from .bits import UniformLanes, stream_key, stream_keys_np, uniforms_np
 
 _CHUNK = 1 << 10  # largest block of uniforms one orbit draws at a time
 _LANES = 1 << 14  # lanes in one crossing pool or one lockstep block
+_BLOCK = 16  # steps of a crossing pool between two crossing checks
+_MAX_HORIZON = 1 << 53  # crossing sums are float64, exact integers below it
 
 
 def sampled_digits(master_seed: int, stream_index: int) -> Iterator[int]:
@@ -81,12 +90,12 @@ class _Lanes:
     """One sampled chain per lane, each lane running one trial of ``master_seed``.
 
     ``state`` is the chain's parameter, 0 at a trial's start; a subclass's
-    ``step`` draws every lane's next increment into ``a``.  Buffers are
-    allocated once; :meth:`keep` drops retired lanes and :meth:`restart`
-    starts new trials on them.
+    ``step`` draws every lane's next increment as an integer-valued double
+    in ``f``.  Buffers are allocated once; :meth:`keep` drops retired lanes
+    and :meth:`restart` starts new trials on them.
     """
 
-    __slots__ = ("master_seed", "uniforms", "state", "f", "a")
+    __slots__ = ("master_seed", "uniforms", "state", "f")
 
     def __init__(self, master_seed: int, trial_indices: np.ndarray):
         trials = np.asarray(trial_indices, dtype=np.uint64)
@@ -95,14 +104,11 @@ class _Lanes:
         n = len(trials)
         self.state = np.zeros(n, dtype=np.float64)
         self.f = np.empty(n, dtype=np.float64)
-        self.a = np.empty(n, dtype=np.int64)
 
     def keep(self, live: np.ndarray) -> None:
         self.uniforms.keep(live)
         self.state = self.state[live]
-        n = len(self.state)
-        self.f = self.f[:n]
-        self.a = self.a[:n]
+        self.f = self.f[: len(self.state)]
 
     def restart(self, slots: np.ndarray, trial_indices: np.ndarray) -> None:
         """Start trials ``trial_indices`` on the lanes ``slots``, from the chain's start."""
@@ -116,7 +122,7 @@ class _DigitLanes(_Lanes):
     __slots__ = ()
 
     def step(self) -> np.ndarray:
-        """Draw one digit per lane; returns ``a`` (overwritten by the next step)."""
+        """Draw one digit per lane; returns it as a float in ``f`` (overwritten by the next step)."""
         v = self.uniforms.draw()
         r, f = self.state, self.f
         # f = floor((1 + r (1 - v)) / v), evaluated in the scalar sampler's order
@@ -125,11 +131,10 @@ class _DigitLanes(_Lanes):
         np.add(1.0, f, out=f)
         np.divide(f, v, out=f)
         np.floor(f, out=f)
-        np.copyto(self.a, f, casting="unsafe")
         # r = 1/(a + r); f < 2^55 is an integer, so f + r rounds as a + r does
         np.add(f, r, out=r)
         np.divide(1.0, r, out=r)
-        return self.a
+        return f
 
 
 class _RunLanes(_Lanes):
@@ -146,7 +151,7 @@ class _RunLanes(_Lanes):
         self.g = self.g[: len(self.f)]
 
     def step(self) -> np.ndarray:
-        """Draw one run per lane; returns the gaps ``run + 1`` between visits in ``a``."""
+        """Draw one run per lane; returns the gaps ``run + 1`` between visits as floats in ``f``."""
         v = self.uniforms.draw()
         s, f, g = self.state, self.f, self.g
         # run = floor((1 + s) (1 - v) / v), evaluated in this order
@@ -155,64 +160,80 @@ class _RunLanes(_Lanes):
         np.multiply(f, g, out=f)
         np.divide(f, v, out=f)
         np.floor(f, out=f)
-        np.copyto(self.a, f, casting="unsafe")
-        np.add(self.a, 1, out=self.a)
         # s = (s + run)/(s + run + 2)
         np.add(s, f, out=s)
         np.add(s, 2.0, out=g)
         np.divide(s, g, out=s)
-        return self.a
+        np.add(f, 1.0, out=f)
+        return f
 
 
 def _increasing(values: Sequence[int], what: str) -> np.ndarray:
     """``values`` as an int64 array, checked to be strictly increasing positive integers."""
-    arr = np.asarray(values, dtype=np.int64)
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} must be integers below 2^63") from None
     if arr.ndim != 1 or len(arr) == 0 or np.any(np.diff(arr) <= 0) or arr[0] < 1:
         raise ValueError(f"{what} must be strictly increasing positive integers")
     return arr
 
 
 def _last_sums(
-    lane_cls: type[_Lanes], master_seed: int, trial_indices: np.ndarray, start: int, hz: np.ndarray
+    lane_cls: type[_Lanes], master_seed: int, trial_indices: np.ndarray, start: int, horizons: Sequence[int]
 ) -> np.ndarray:
     """max{S_k <= h} for every trial and horizon h: S_0 = start, S_k adds step k.
 
     The trials run on one pool of at most ``_LANES`` lanes of ``lane_cls``,
-    each stepping until its sum passes the largest horizon.  Once at least
-    1/64 of the lanes have retired at a step, the next pending trials
-    restart on their slots; once none are pending, retired lanes are
-    compacted away instead.  Returns an int64 array of shape (trials,
-    horizons).
+    stepped ``_BLOCK`` steps at a time.  Row j of a block's history holds
+    every lane's sum after j of its steps, row 0 the sums it started from.
+    At the end of a block, one compare finds the lanes whose sum passed
+    their next horizon h, and the last history entry <= h is each one's
+    value there.  A lane steps until its sum passes the largest horizon,
+    noticed up to ``_BLOCK - 1`` steps late.  Once at least 1/64 of the
+    lanes have retired at a block end, the next pending trials restart on
+    their slots; once none are pending, retired lanes are compacted away
+    instead.  The sums are float64: steps are integer-valued doubles, and
+    every sum up to the last one <= h is an integer at most h < 2^53, so it
+    is exact; a later sum may round, but only to a value still above h.
+    Returns an int64 array of shape (trials, horizons).
     """
+    hz = _increasing(horizons, "horizons")
+    if hz[-1] >= _MAX_HORIZON:
+        raise ValueError(f"horizons must be below 2^53 = {_MAX_HORIZON}")
     trials = np.asarray(trial_indices, dtype=np.uint64)
     n_t, n_h = len(trials), len(hz)
     x_out = np.zeros((n_t, n_h), dtype=np.int64)
     n = min(n_t, _LANES)
     lanes = lane_cls(master_seed, trials[:n])
 
-    # retired lanes point one past the last horizon and can never cross it
-    hz_ext = np.concatenate((hz, [np.iinfo(np.int64).max]))
+    # retired lanes wait for the horizon +inf, which no sum passes
+    hz_ext = np.append(hz.astype(np.float64), np.inf)
 
     idx = np.arange(n)  # the trial, a row of x_out, that each lane runs
     pending = n  # the next trial to start
-    s = np.full(n, start, dtype=np.int64)
-    s_new = np.empty(n, dtype=np.int64)
+    hist = np.empty((_BLOCK + 1, n))
+    hist[0] = start
     next_h = np.zeros(n, dtype=np.int64)
-    thr = np.full(n, hz[0])  # hz_ext[next_h], the sum a lane must pass next
-    crossed = np.empty(n, dtype=bool)
+    thr = np.full(n, hz_ext[0])  # hz_ext[next_h], the sum a lane must pass next
     n_live = n
 
     while n_live:
-        np.add(s, lanes.step(), out=s_new)
-        np.greater(s_new, thr, out=crossed)
-        if crossed.any():
-            w = np.nonzero(crossed)[0]
+        for j in range(_BLOCK):
+            np.add(hist[j], lanes.step(), out=hist[j + 1])
+        last = hist[_BLOCK]
+        w = np.flatnonzero(last > thr)
+        if len(w):
+            # a block starts at or below each lane's next horizon, so row 0 always counts
+            sub = hist[:, w]
             while len(w):
-                x_out[idx[w], next_h[w]] = s[w]
+                rows = np.count_nonzero(sub <= thr[w], axis=0) - 1
+                x_out[idx[w], next_h[w]] = sub[rows, np.arange(len(w))]
                 next_h[w] += 1
                 thr[w] = hz_ext[next_h[w]]
-                w = w[s_new[w] > thr[w]]
-            # the live count only changes on steps where a lane crossed
+                again = last[w] > thr[w]
+                w, sub = w[again], sub[:, again]
+            # the live count only changes at block ends where a lane crossed
             live = next_h < n_h
             n_live = int(np.count_nonzero(live))
             n_lanes = len(idx)
@@ -222,20 +243,19 @@ def _last_sums(
                     new = np.arange(pending, pending + len(slots))
                     lanes.restart(slots, trials[new])
                     idx[slots] = new
-                    s_new[slots] = start
+                    last[slots] = start
                     next_h[slots] = 0
-                    thr[slots] = hz[0]
+                    thr[slots] = hz_ext[0]
                     pending += len(slots)
                     n_live += len(slots)
                 elif n_live:
                     lanes.keep(live)
                     idx = idx[live]
-                    s_new = s_new[live]
                     next_h = next_h[live]
                     thr = thr[live]
-                    s = s[:n_live]
-                    crossed = crossed[:n_live]
-        s, s_new = s_new, s
+                    last = last[live]
+                    hist = hist[:, :n_live]
+        hist[0] = last
     return x_out
 
 
@@ -249,10 +269,9 @@ def digit_sum_crossings(
     Each trial draws digits until its sum passes the largest horizon; the
     value recorded at a horizon is the last sum not exceeding it.  Returns
     an int64 array of shape (trials, len(horizons)); horizons must be
-    strictly increasing.
+    strictly increasing and below 2^53.
     """
-    hz = _increasing(horizons, "horizons")
-    return _last_sums(_DigitLanes, master_seed, trial_indices, 0, hz)
+    return _last_sums(_DigitLanes, master_seed, trial_indices, 0, horizons)
 
 
 def digit_sums_at(
@@ -272,10 +291,13 @@ def digit_sums_at(
     for lo in range(0, len(trials), _LANES):
         lanes = _DigitLanes(master_seed, trials[lo : lo + _LANES])
         s = np.zeros(len(lanes.state), dtype=np.int64)
+        a = np.empty_like(s)
         k = 0
         for j, cp in enumerate(cps.tolist()):
             while k < cp:
-                np.add(s, lanes.step(), out=s)
+                # exact int64 sums: the float digits are copied into int64 before the add
+                np.copyto(a, lanes.step(), casting="unsafe")
+                np.add(s, a, out=s)
                 k += 1
             out[lo : lo + len(s), j] = s
     return out
@@ -293,7 +315,6 @@ def ly_last_visits(
     crossing scan of :func:`digit_sum_crossings` on the run chain.  Returns
     an int64 array of shape (trials, len(horizons)) holding the last visit
     time not exceeding each horizon, or -1 when the orbit has not visited
-    by then.
+    by then; horizons must be strictly increasing and below 2^53.
     """
-    hz = _increasing(horizons, "horizons")
-    return _last_sums(_RunLanes, master_seed, trial_indices, -1, hz)
+    return _last_sums(_RunLanes, master_seed, trial_indices, -1, horizons)

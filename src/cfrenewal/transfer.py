@@ -178,6 +178,7 @@ class TransferPlan:
         block = np.stack((1.0 - w0, 1.0 - w1, w0, w1, 1.0 / (1.0 + x), x / (1.0 + x)))
         self._w = block[:4]
         self._front = block[4:]
+        self._g = np.empty(self._idx.shape)  # the gather of every application
 
     def _locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mesh = self.mesh
@@ -187,18 +188,26 @@ class TransferPlan:
         w = (pts - mesh[idx]) / span
         return idx, w
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        g = values[self._idx]
+    def apply(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """T applied to the node values ``values``, into ``out`` or a fresh array.
+
+        ``values`` is never written.  The gather goes to the plan's own
+        scratch, so one plan serves one caller at a time.
+        """
+        # every index lies in the mesh, so "wrap" changes no value; "raise" would buffer the out= gather
+        g = np.take(values, self._idx, out=self._g, mode="wrap")
         g *= self._w
         h = g[:2]
         np.add(h, g[2:], out=h)
         h *= self._front
-        return h[0] + h[1]
+        return np.add(h[0], h[1], out=out)
 
     def iterate(self, values: np.ndarray, count: int) -> np.ndarray:
+        """T^count applied to ``values``; each step is one :meth:`apply` into one of two buffers."""
         v = values
-        for _ in range(count):
-            v = self.apply(v)
+        bufs = (np.empty(len(self.mesh)), np.empty(len(self.mesh)))
+        for k in range(count):
+            v = self.apply(v, out=bufs[k & 1])
         return v
 
 

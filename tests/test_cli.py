@@ -60,6 +60,18 @@ def test_expand_rejects_rational_outside_unit_interval():
     assert code == 2
 
 
+def test_horizons_from_2_pow_53_exit_2(capsys):
+    # the crossing scan keeps float64 sums, exact only below 2^53
+    for argv in (("simulate", "--n", str(2**53)), ("classic", "--which", "ly", "--n", str(2**53))):
+        code, _ = run_cli(*argv)
+        assert code == 2
+        assert "below 2^53" in capsys.readouterr().err
+    # past int64 the horizons cannot even be converted
+    code, _ = run_cli("simulate", "--n", str(2**63))
+    assert code == 2
+    assert "below 2^63" in capsys.readouterr().err
+
+
 def test_unknown_density_exits_2():
     code, _ = run_cli("operator", "--density", "bogus", "--n", "2")
     assert code == 2
@@ -490,6 +502,18 @@ def _rowwise_reference(columns) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """``got == want``; a mismatch names its first differing line, not a diff of whole texts."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next(
+        (k for k, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+        min(len(got_lines), len(want_lines)),
+    )
+    assert (first, got_lines[first : first + 1]) == (first, want_lines[first : first + 1])
+    assert len(got_lines) == len(want_lines)
+    assert got == want
+
+
 _SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 0.1 + 0.2, 1 / 3]
 _INT64_EDGES = [-(2**63), 2**63 - 1, 0, -1, 9, 10, 99, 100, 10**18 - 1, 10**18, -(10**18), -10, -9]
 
@@ -520,7 +544,7 @@ def test_block_renderer_matches_rowwise_formatting(n_rows):
         [["é", "ß∑", "日本", "x"][k % 4] for k in range(n_rows)],
     )
     text = "".join(cli._render(["a,b,c,d"], columns))
-    assert text == "a,b,c,d\n" + _rowwise_reference(columns)
+    _assert_same_text(text, "a,b,c,d\n" + _rowwise_reference(columns))
 
 
 def test_block_renderer_shares_one_float_table_across_blocks(monkeypatch):
@@ -541,7 +565,7 @@ def test_block_renderer_shares_one_float_table_across_blocks(monkeypatch):
     chunks = list(cli._render(["h"], columns))
     assert built == [len(varied)] * 2
     assert len(chunks) == 4
-    assert "".join(chunks) == "h\n" + _rowwise_reference(columns)
+    _assert_same_text("".join(chunks), "h\n" + _rowwise_reference(columns))
     assert chunks[1].splitlines()[0] == "0,0.5,2.5"
     assert chunks[2].splitlines()[2] == f"{b + 2},{1 / 3!r},2.5"
 

@@ -3,7 +3,7 @@ certified extraction path."""
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
@@ -81,20 +81,27 @@ def test_crossings_equal_scalar_walk_through_compaction(monkeypatch):
         assert x[t].tolist() == _scalar_crossings(17, t, horizons)
 
 
-def _scalar_last_visits(seed: int, trial: int, horizons) -> list[int]:
-    """Last Lasota-Yorke visit time <= n for each horizon, one laminar run per block."""
+def _ly_gaps(seed: int, trial: int):
+    """Endless gaps ``run + 1`` between Lasota-Yorke visits, one laminar run per block."""
     key = stream_key(seed, trial)
-    s, t, j, out = 0.0, -1, 0, []
+    s, j = 0.0, 0
+    while True:
+        v = uniform_from_block(block64(key, j))
+        run = int((1.0 + s) * (1.0 - v) / v)
+        yield run + 1
+        after = s + run
+        s = after / (after + 2.0)
+        j += 1
+
+
+def _scalar_last_visits(seed: int, trial: int, horizons) -> list[int]:
+    """Last Lasota-Yorke visit time <= n for each horizon, by walking :func:`_ly_gaps`."""
+    gaps = _ly_gaps(seed, trial)
+    t, g, out = -1, next(gaps), []
     for h in horizons:
-        while True:
-            v = uniform_from_block(block64(key, j))
-            run = int((1.0 + s) * (1.0 - v) / v)
-            if t + run + 1 > h:
-                break
-            j += 1
-            after = s + run
-            s = after / (after + 2.0)
-            t += run + 1
+        while t + g <= h:
+            t += g
+            g = next(gaps)
         out.append(t)
     return out
 
@@ -117,7 +124,8 @@ def test_ly_last_visits_equal_scalar_walk_through_compaction(monkeypatch):
 
 
 def test_refilled_lanes_equal_scalar_walk(monkeypatch):
-    # a 64-lane pool for 1000 trials: retired slots take pending trials, then compact
+    # a 64-lane pool for 1000 trials: retired slots take pending trials, then
+    # compact, and both happen only at the end of a block of steps
     monkeypatch.setattr(sampling, "_LANES", 64)
     horizons = (5, 50, 500, 5000)
     trials = np.arange(1000, dtype=np.uint64)
@@ -125,19 +133,64 @@ def test_refilled_lanes_equal_scalar_walk(monkeypatch):
         (sampling._DigitLanes, digit_sum_crossings, _scalar_crossings),
         (sampling._RunLanes, ly_last_visits, _scalar_last_visits),
     ):
-        calls = {"restart": 0, "keep": 0}
+        calls = {"step": 0, "restart": 0, "keep": 0}
+        at_steps = []
         for name in calls:
             method = getattr(lane_cls, name)
 
             def counting(lanes, *args, _name=name, _method=method):
                 calls[_name] += 1
-                _method(lanes, *args)
+                if _name != "step":
+                    at_steps.append(calls["step"])
+                return _method(lanes, *args)
 
             monkeypatch.setattr(lane_cls, name, counting)
         out = run(19, trials, horizons)
         assert calls["restart"] >= 3 and calls["keep"] >= 3
+        assert all(k % sampling._BLOCK == 0 for k in at_steps + [calls["step"]])
         for t in range(len(trials)):
             assert out[t].tolist() == scalar(19, t, horizons)
+
+
+# (scan, scalar walk, S_0, scalar steps) for the digit chain and the run chain
+_CHAINS = [
+    (digit_sum_crossings, _scalar_crossings, 0, sampled_digits),
+    (ly_last_visits, _scalar_last_visits, -1, _ly_gaps),
+]
+
+
+def _scalar_sums(chain, seed: int, trial: int, count: int) -> list[int]:
+    """S_0, ..., S_count of one trial, from the chain's scalar steps."""
+    _, _, start, steps = chain
+    return list(accumulate(islice(steps(seed, trial), count), initial=start))
+
+
+@pytest.mark.parametrize("chain", _CHAINS, ids=["digits", "ly"])
+def test_one_step_crossing_several_horizons(chain):
+    run, scalar = chain[:2]
+    sums = _scalar_sums(chain, 41, 0, 400)
+    # the first step of trial 0 that passes four consecutive horizons at once
+    k = next(k for k in range(1, len(sums)) if sums[k - 1] >= 1 and sums[k] - sums[k - 1] >= 4)
+    horizons = tuple(range(sums[k - 1], sums[k - 1] + 4))
+    out = run(41, np.arange(50, dtype=np.uint64), horizons)
+    assert out[0].tolist() == [sums[k - 1]] * 4
+    for t in range(50):
+        assert out[t].tolist() == scalar(41, t, horizons)
+
+
+@pytest.mark.parametrize("chain", _CHAINS, ids=["digits", "ly"])
+@pytest.mark.parametrize("k", [sampling._BLOCK, sampling._BLOCK + 1, 2 * sampling._BLOCK])
+def test_final_crossing_on_block_edges(chain, k):
+    # the last horizon is S_(k-1), so trial 0 passes it on step k: the last
+    # step of its first or second block, or the first step of its second
+    run, scalar = chain[:2]
+    sums = _scalar_sums(chain, 43, 0, k)
+    horizons = (sums[k // 2], sums[k - 1])
+    for trials in (np.array([0], dtype=np.uint64), np.arange(40, dtype=np.uint64)):
+        out = run(43, trials, horizons)
+        assert out[0].tolist() == [sums[k // 2], sums[k - 1]]
+        for t in range(len(trials)):
+            assert out[t].tolist() == scalar(43, t, horizons)
 
 
 def test_digit_sums_at_lane_blocks_equal_one_block(monkeypatch):
@@ -276,3 +329,11 @@ def test_crossings_reject_bad_horizons():
         digit_sums_at(1, np.arange(3, dtype=np.uint64), [])
     with pytest.raises(ValueError):
         ly_last_visits(1, np.arange(3, dtype=np.uint64), [5, 2])
+    # the crossing scan's float64 sums are exact integers only below 2^53
+    for run in (digit_sum_crossings, ly_last_visits):
+        for horizons in ([2**53], [10, 2**53 + 1]):
+            with pytest.raises(ValueError, match="below 2\\^53"):
+                run(1, np.arange(3, dtype=np.uint64), horizons)
+    for run in (digit_sum_crossings, digit_sums_at, ly_last_visits):
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            run(1, np.arange(3, dtype=np.uint64), [10, 2**63])

@@ -158,13 +158,32 @@ def test_apply_returns_fresh_array_and_keeps_its_input():
     assert not np.shares_memory(first, second) and not np.shares_memory(first, values)
 
 
+def test_apply_into_out_and_iterate_equal_fresh_applies():
+    plan = TransferPlan(MESH)
+    values = ID(MESH)
+    kept = values.copy()
+    out = np.empty_like(values)
+    assert plan.apply(values, out=out) is out
+    assert np.array_equal(out.view(np.uint64), plan.apply(values).view(np.uint64))
+    want = values
+    for _ in range(5):
+        want = plan.apply(want)
+    got = plan.iterate(values, 5)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a later iterate writes to buffers of its own, not to its input or an earlier result
+    got_kept = got.copy()
+    again = plan.iterate(got, 2)
+    assert np.array_equal(got, got_kept) and np.array_equal(values, kept)
+    assert not np.shares_memory(again, got) and not np.shares_memory(got, values)
+
+
 def test_iterate_calls_apply_once_per_step(monkeypatch):
     calls = []
     apply = TransferPlan.apply
 
-    def counting(self, values):
+    def counting(self, values, out=None):
         calls.append(len(values))
-        return apply(self, values)
+        return apply(self, values, out=out)
 
     monkeypatch.setattr(TransferPlan, "apply", counting)
     plan = TransferPlan(MESH)
