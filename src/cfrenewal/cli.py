@@ -2,12 +2,14 @@
 
 Subcommands: ``expand`` (digit dumps), ``simulate`` (uniform-law runs),
 ``tail`` (large-deviation tables), ``operator`` (transfer-operator traces),
-``classic`` (khinchin, diamond-vaaler, weak-law, stable, ly).  Outputs are
-CSV and JSON with fixed column orders (schema version 1, documented in the
-README); every output embeds the master seed, artifact version, and a hash
-of the effective configuration.  Numeric formatting is shortest round-trip
-decimal, so identical configurations produce byte-identical files on any
-platform and any worker count.
+``classic`` (khinchin, diamond-vaaler, weak-law, stable, ly).  A subcommand
+returns ``(header, columns, summary)``: the CSV field names, one column per
+field, and the JSON summary; ``main`` writes them.  Outputs are CSV and JSON
+with fixed column orders (schema version 1, documented in the README); every
+output embeds the master seed, artifact version, and a hash of the effective
+configuration.  Numeric formatting is shortest round-trip decimal, so
+identical configurations produce byte-identical files on any platform and any
+worker count.
 
 Exit codes: 0 success, 2 usage error, 3 non-generic point, 4 I/O failure.
 """
@@ -20,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -38,10 +40,10 @@ from .experiments import (
     run_diamond_vaaler,
     run_khinchin,
     run_ly_uniform_law,
+    run_large_deviation,
     run_stable_stability,
     run_uniform_law,
     run_weak_law,
-    tail_reports_from_samples,
 )
 from .transfer import (
     ClosedFormDensity,
@@ -65,25 +67,8 @@ class UsageError(Exception):
 # rows rendered per block: output memory stays bounded whatever the row count
 BLOCK_ROWS = 8192
 
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One subcommand's output: parameter echo plus column and summary payloads.
-
-    ``columns`` holds one equal-length sequence per header field: a numpy
-    array (the bulk columns of ``simulate``) or a list (the few rows of the
-    other subcommands).
-    """
-
-    experiment: str
-    config: dict
-    header: tuple[str, ...]
-    columns: tuple[Sequence, ...]
-    summary: dict = field(default_factory=dict)
-
-    @property
-    def config_hash(self) -> str:
-        return _config_hash(self.config)
+# what a subcommand returns: the CSV field names, one column per field, the JSON summary
+Table = tuple[Sequence[str], Sequence[Sequence], dict]
 
 
 def _fmt(value) -> str:
@@ -232,8 +217,13 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _emit(args, record: OutputRecord) -> None:
-    """Write the record as CSV and/or JSON, as ``--format`` says (printed when no --out is given).
+def _emit(args, config: dict, header: Sequence[str], columns: Sequence[Sequence], summary: dict) -> None:
+    """Write a subcommand's table as CSV and/or JSON, as ``--format`` says (printed when no --out is given).
+
+    ``columns`` holds one equal-length sequence per ``header`` field: a numpy
+    array (the bulk columns of ``simulate``) or a list.  ``config`` is the
+    echoed configuration; its seed, hash and the artifact version go into
+    both outputs.
 
     Each file is written by :func:`_write_text`: temp file, unlink of the old
     file, rename, with no ``fsync``.  Any failure removes the sibling file
@@ -241,19 +231,16 @@ def _emit(args, record: OutputRecord) -> None:
     failure while a file is rendered leaves that file's previous version in
     place, since the old file is removed only once the temp file is complete.
     """
-    summary = dict(record.summary)
-    summary.setdefault("experiment", record.experiment)
-    summary.update(_meta(record.config))
-    header = ",".join(record.header)
+    meta = _meta(config)
+    summary = {**summary, **meta}
+    header = ",".join(header)
     if args.out:
         base = args.out
         written = []
-        comment = "# " + " ".join(
-            [f"seed={record.config.get('seed')}", f"version={__version__}", f"config_hash={record.config_hash}"]
-        )
+        comment = f"# seed={meta['master_seed']} version={__version__} config_hash={meta['config_hash']}"
         try:
             if args.format in ("csv", "both"):
-                _write_text(base + ".csv", _render([comment, header], record.columns))
+                _write_text(base + ".csv", _render([comment, header], columns))
                 written.append(base + ".csv")
             if args.format in ("json", "both"):
                 _write_text(base + ".json", [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
@@ -267,7 +254,7 @@ def _emit(args, record: OutputRecord) -> None:
             raise
     else:
         if args.format in ("csv", "both"):
-            sys.stdout.writelines(_render([header], record.columns))
+            sys.stdout.writelines(_render([header], columns))
         if args.format in ("json", "both"):
             print(json.dumps(summary, sort_keys=True))
 
@@ -363,8 +350,7 @@ def _constant_stream(name: str) -> DigitStream:
     raise UsageError(f"unknown constant '{name}' (expected golden or sqrt2)")
 
 
-def cmd_expand(args) -> int:
-    conf = _merged(args)
+def cmd_expand(args, conf: dict) -> Table:
     sources = [s for s in (conf["seed"] is not None, conf["rational"], conf["constant"]) if s]
     if len(sources) != 1:
         raise UsageError("expand needs exactly one of --seed, --rational, --constant")
@@ -386,25 +372,21 @@ def cmd_expand(args) -> int:
         stream = _constant_stream(conf["constant"])
     else:
         stream = DigitStream.from_seed(conf["seed"], conf["stream"], conf["refine-cap"])
-    header = ["k", "a_k", "S_k", "trimmed_S_k", "geometric_mean"]
+    header = ("k", "a_k", "S_k", "trimmed_S_k", "geometric_mean")
     rows = [(r["k"], r["a"], r["S"], r["trimmed"], r["geometric_mean"])
             for r in orbit_records(stream, range(1, conf["count"] + 1))]
     if len(rows) < conf["count"]:
         rows.append((len(rows) + 1, "end", "", "", ""))
-    summary = {"experiment": "expand", "rows": len(rows)}
-    _emit(args, OutputRecord(experiment="expand", config=_echo_config(conf), header=tuple(header), columns=_list_columns(rows), summary=summary))
-    return 0
+    return header, _list_columns(rows), {"experiment": "expand", "rows": len(rows)}
 
 
 # ---------------------------------------------------------------- simulate
 
-def cmd_simulate(args) -> int:
-    conf = _merged(args)
-    horizons = tuple(sorted(set(conf["n"])))
+def cmd_simulate(args, conf: dict) -> Table:
     cfg = ExperimentConfig(
         master_seed=conf["seed"],
         trials=conf["trials"],
-        horizons=horizons,
+        horizons=tuple(sorted(set(conf["n"]))),
         workers=conf["workers"],
         refine_cap=conf["refine-cap"],
         digit_source=conf["source"],
@@ -413,7 +395,7 @@ def cmd_simulate(args) -> int:
     report = run_uniform_law(cfg)
     # wall time goes to stderr: output files must stay byte-identical across runs
     print(f"runtime_s={time.monotonic() - t0:.2f}", file=sys.stderr)
-    header = ["trial", "n", "X_n", "gap", "scaled"]
+    header = ("trial", "n", "X_n", "gap", "scaled")
     # horizon-major rows: every trial at the first horizon, then the next
     n_col = np.repeat(np.asarray(report.horizons, dtype=np.int64), cfg.trials)
     x_col = report.samples.x_values.T.ravel()
@@ -432,48 +414,25 @@ def cmd_simulate(args) -> int:
         "atom_frequency": list(report.atom_frequency),
         "resampled": report.resampled,
     }
-    _emit(args, OutputRecord(experiment="simulate", config=_echo_config(conf), header=tuple(header), columns=columns, summary=summary))
-    return 0
+    return header, columns, summary
 
 
 # ---------------------------------------------------------------- tail
 
-def cmd_tail(args) -> int:
-    conf = _merged(args)
-    horizons = tuple(sorted(set(conf["n"])))
+def cmd_tail(args, conf: dict) -> Table:
     cfg = ExperimentConfig(
         master_seed=conf["seed"],
         trials=conf["trials"],
-        horizons=horizons,
-        epsilons=tuple(conf["epsilon"]),
+        horizons=tuple(sorted(set(conf["n"]))),
+        epsilons=tuple(sorted(set(conf["epsilon"]))),
         workers=conf["workers"],
         digit_source=conf["source"],
     )
-    from .experiments import fluctuation_samples
-
-    samples = fluctuation_samples(cfg)
-    reports = tail_reports_from_samples(samples, sorted(conf["epsilon"]))
-    header = ["epsilon", "n", "frequency", "theoretical", "ratio", "std_error"]
-    rows = [
-        (r.epsilon, r.n, r.frequency, r.theoretical, r.ratio, r.std_error) for r in reports
-    ]
-    summary = {
-        "experiment": "large-deviation",
-        "trials": cfg.trials,
-        "rows": [
-            {
-                "epsilon": r.epsilon,
-                "n": r.n,
-                "frequency": r.frequency,
-                "theoretical": r.theoretical,
-                "ratio": r.ratio,
-                "std_error": r.std_error,
-            }
-            for r in reports
-        ],
-    }
-    _emit(args, OutputRecord(experiment="tail", config=_echo_config(conf), header=tuple(header), columns=_list_columns(rows), summary=summary))
-    return 0
+    # the columns are TailReport's fields, by name
+    header = ("epsilon", "n", "frequency", "theoretical", "ratio", "std_error")
+    rows = [tuple(getattr(r, key) for key in header) for r in run_large_deviation(cfg)]
+    summary = {"experiment": "large-deviation", "trials": cfg.trials, "rows": [dict(zip(header, row)) for row in rows]}
+    return header, _list_columns(rows), summary
 
 
 # ---------------------------------------------------------------- operator
@@ -494,8 +453,7 @@ def _density_from_name(name: str) -> ClosedFormDensity:
     raise UsageError(f"unknown density '{name}' (expected one, id, or power:theta)")
 
 
-def cmd_operator(args) -> int:
-    conf = _merged(args)
+def cmd_operator(args, conf: dict) -> Table:
     density = _density_from_name(conf["density"])
     schedule = sorted(set(conf["n"]))
     probes = tuple(conf["probe"])
@@ -504,16 +462,7 @@ def cmd_operator(args) -> int:
     mesh = farey_mesh(probes=probes)
     traces = uniform_returning_trace(density, schedule, probes, mesh)
     oracle_cutoff = 20
-    header = [
-        "n",
-        "W_n",
-        "probe_x",
-        "value",
-        "product",
-        "min_slope",
-        "max_second_diff",
-        "oracle_value",
-    ]
+    header = ("n", "W_n", "probe_x", "value", "product", "min_slope", "max_second_diff", "oracle_value")
     rows = []
     for tr in traces:
         for p, v, prod in zip(tr.probes, tr.values, tr.products):
@@ -525,18 +474,23 @@ def cmd_operator(args) -> int:
         "schedule": schedule,
         "products": {str(tr.n): list(tr.products) for tr in traces},
     }
-    _emit(args, OutputRecord(experiment="operator", config=_echo_config(conf), header=tuple(header), columns=_list_columns(rows), summary=summary))
-    return 0
+    return header, _list_columns(rows), summary
 
 
 # ---------------------------------------------------------------- classic
 
-def cmd_classic(args) -> int:
-    conf = _merged(args)
+# the single-orbit experiments: runner and the value columns after k
+ORBIT_VALUES = {
+    "khinchin": (run_khinchin, ("geometric_mean",)),
+    "diamond-vaaler": (run_diamond_vaaler, ("trimmed_ratio", "relative_deviation")),
+}
+
+
+def cmd_classic(args, conf: dict) -> Table:
     which, n = conf["which"], conf["n"]
     # validated first, so a count below 1 is reported as such for every --which
     base = ExperimentConfig(master_seed=conf["seed"], trials=conf["trials"], workers=conf["workers"])
-    if which in ("khinchin", "diamond-vaaler") and (args.trials is not None or args.workers is not None):
+    if which in ORBIT_VALUES and (args.trials is not None or args.workers is not None):
         raise UsageError(f"classic --which {which} scans one orbit and takes no --trials or --workers")
     if which == "weak-law" and len(n) > 1:
         raise UsageError("classic --which weak-law takes at most one --n")
@@ -546,68 +500,29 @@ def cmd_classic(args) -> int:
         raise UsageError("--n must be >= 1")
     if which in ("weak-law", "diamond-vaaler") and any(k < 2 for k in n):
         raise UsageError(f"classic --which {which} divides by log n and needs every --n >= 2")
-    if which == "khinchin":
-        report = run_khinchin(replace(base, checkpoints=_checkpoints(n)))
-        summary = {
-            "experiment": "khinchin",
-            "target": report.target,
-            "checkpoints": list(report.checkpoints),
-            "geometric_mean": report.values("geometric_mean"),
-        }
-        rows = [(r["k"], r["geometric_mean"]) for r in report.records]
-        header = ["k", "geometric_mean"]
-    elif which == "diamond-vaaler":
-        report = run_diamond_vaaler(replace(base, checkpoints=_checkpoints(n)))
-        summary = {
-            "experiment": "diamond-vaaler",
-            "target": report.target,
-            "checkpoints": list(report.checkpoints),
-            "trimmed_ratio": report.values("trimmed_ratio"),
-            "relative_deviation": report.values("relative_deviation"),
-        }
-        rows = [(r["k"], r["trimmed_ratio"], r["relative_deviation"]) for r in report.records]
-        header = ["k", "trimmed_ratio", "relative_deviation"]
-    elif which == "weak-law":
-        report = run_weak_law(replace(base, n=n[0] if n else 10_000))
-        summary = {
-            "experiment": "weak-law",
-            "n": report.n,
-            "trials": report.trials,
-            "median": report.median,
-            "target": report.target,
-            "within": {str(k): v for k, v in report.within.items()},
-        }
-        rows = [(report.n, report.median, report.target)]
-        header = ["n", "median", "target"]
-    elif which == "stable":
-        report = run_stable_stability(replace(base, k_pair=tuple(sorted(n)) if n else (10_000, 100_000)))
-        summary = {
-            "experiment": "stable",
-            "k1": report.k1,
-            "k2": report.k2,
-            "trials": report.trials,
-            "ks": report.ks,
-            "percentile_99": list(report.percentile_99),
-        }
-        rows = [(report.k1, report.k2, report.ks)]
-        header = ["k1", "k2", "ks"]
-    else:
+    if which in ORBIT_VALUES:
+        run, values = ORBIT_VALUES[which]
+        report = run(replace(base, checkpoints=tuple(sorted(set(n))) if n else (1_000, 10_000, 100_000, 1_000_000)))
+        header = ("k", *values)
+        columns = tuple([r[key] for r in report.records] for key in header)
+        summary = {"experiment": which, "target": report.target, "checkpoints": columns[0]}
+        return header, columns, {**summary, **dict(zip(values, columns[1:]))}
+    if which == "ly":
         report = run_ly_uniform_law(replace(base, horizons=tuple(sorted(set(n))) if n else (100_000,)))
-        summary = {
-            "experiment": "ly-uniform-law",
-            "horizons": list(report.horizons),
-            "trials": report.trials,
-            "ks": list(report.ks),
-            "never_visited": list(report.never_visited),
-        }
-        rows = list(zip(report.horizons, report.ks, report.never_visited))
-        header = ["n", "ks", "never_visited"]
-    _emit(args, OutputRecord(experiment="classic", config=_echo_config(conf), header=tuple(header), columns=_list_columns(rows), summary=summary))
-    return 0
-
-
-def _checkpoints(n: list[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(n))) if n else (1_000, 10_000, 100_000, 1_000_000)
+        header = ("n", "ks", "never_visited")
+        columns = (list(report.horizons), list(report.ks), list(report.never_visited))
+        summary = {"experiment": "ly-uniform-law", "trials": report.trials, "horizons": columns[0]}
+        return header, columns, {**summary, **dict(zip(header[1:], columns[1:]))}
+    if which == "weak-law":
+        report = run_weak_law(replace(base, n=n[0] if n else 10_000))
+        header, row = ("n", "median", "target"), (report.n, report.median, report.target)
+        summary = {"within": {str(k): v for k, v in report.within.items()}}
+    else:
+        report = run_stable_stability(replace(base, k_pair=tuple(sorted(n)) if n else (10_000, 100_000)))
+        header, row = ("k1", "k2", "ks"), (report.k1, report.k2, report.ks)
+        summary = {"percentile_99": list(report.percentile_99)}
+    summary.update(experiment=which, trials=report.trials, **dict(zip(header, row)))
+    return header, _list_columns([row]), summary
 
 
 # ---------------------------------------------------------------- main
@@ -645,11 +560,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        conf = _merged(args)
+        header, columns, summary = args.fn(args, conf)
+        _emit(args, _echo_config(conf), header, columns, summary)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonGenericPointError as exc:
@@ -658,6 +572,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    return 0
 
 
 if __name__ == "__main__":

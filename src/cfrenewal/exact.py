@@ -294,16 +294,11 @@ class DigitStream:
     statistics are not kept here: :func:`orbit_records` streams them.
     """
 
-    def __init__(self, digit_iter: Iterable[int], finite: bool = False):
+    def __init__(self, digit_iter: Iterable[int]):
         self._iter = iter(digit_iter)
         self._digits: list[int] = []
         self._sums: list[int] = [0]
-        self.finite = finite
         self.exhausted = False
-
-    @classmethod
-    def from_lazy(cls, real: LazyReal) -> "DigitStream":
-        return cls(real.digits(), finite=False)
 
     @classmethod
     def from_seed(
@@ -312,11 +307,11 @@ class DigitStream:
         stream_index: int = 0,
         refine_cap: int = DEFAULT_REFINE_CAP,
     ) -> "DigitStream":
-        return cls.from_lazy(LazyReal(BitSource(master_seed, stream_index), refine_cap))
+        return cls(LazyReal(BitSource(master_seed, stream_index), refine_cap).digits())
 
     @classmethod
-    def from_digits(cls, digits: Iterable[int], finite: bool = True) -> "DigitStream":
-        return cls(digits, finite=finite)
+    def from_digits(cls, digits: Iterable[int]) -> "DigitStream":
+        return cls(digits)
 
     @classmethod
     def constant(cls, digit: int) -> "DigitStream":
@@ -324,7 +319,7 @@ class DigitStream:
             while True:
                 yield digit
 
-        return cls(forever(), finite=False)
+        return cls(forever())
 
     def _pull(self) -> bool:
         if self.exhausted:
@@ -412,14 +407,14 @@ def orbit_records(digits: Iterable[int], checkpoints: Iterable[int]) -> Iterator
                 return
 
 
-def digits_of_rational(p: int, q: int, max_digits: Optional[int] = None) -> DigitStream:
+def digits_of_rational(p: int, q: int) -> DigitStream:
     """Terminating digit stream of p/q in (0, 1) via the Euclidean algorithm."""
     if not 0 < p < q:
         raise ValueError("need 0 < p < q (a rational strictly inside (0, 1))")
     if gcd(p, q) != 1:
         raise ValueError("p/q must be in lowest terms")
     digits = []
-    while p > 0 and (max_digits is None or len(digits) < max_digits):
+    while p > 0:
         m, r = divmod(q, p)
         digits.append(m)
         q, p = p, r

@@ -67,7 +67,6 @@ class FluctuationSamples:
 
     horizons: tuple[int, ...]
     x_values: np.ndarray
-    master_seed: int
     resampled: int = 0
 
     @property
@@ -155,7 +154,7 @@ def fluctuation_samples(cfg: ExperimentConfig) -> FluctuationSamples:
         parts = _map_chunks(_exact_chunk, cfg, horizons, cfg.refine_cap, cfg.trials)
     x = _stack_rows([p[0] for p in parts])
     resampled = sum(p[1] for p in parts)
-    return FluctuationSamples(horizons=horizons, x_values=x, master_seed=cfg.master_seed, resampled=resampled)
+    return FluctuationSamples(horizons=horizons, x_values=x, resampled=resampled)
 
 
 @dataclass(frozen=True)
@@ -166,9 +165,6 @@ class UniformLawReport:
     trials: int
     resampled: int
     samples: FluctuationSamples
-
-    def distribution(self, horizon: int) -> EmpiricalDistribution:
-        return EmpiricalDistribution.from_samples(self.samples.scaled(horizon))
 
 
 def uniform_law_from_samples(samples: FluctuationSamples) -> UniformLawReport:
@@ -214,24 +210,14 @@ def run_large_deviation(cfg: ExperimentConfig) -> list[TailReport]:
 class OrbitReport:
     """Single-orbit digit statistics at checkpoints."""
 
-    checkpoints: tuple[int, ...]
     records: tuple[dict, ...]
     target: float
-    experiment: str
-
-    def values(self, key: str) -> list:
-        return [rec[key] for rec in self.records]
 
 
 def run_khinchin(cfg: ExperimentConfig) -> OrbitReport:
     """Geometric-mean trajectory of one seeded digit orbit."""
     records = list(orbit_records(sampling.sampled_digits(cfg.master_seed, 0), cfg.checkpoints))
-    return OrbitReport(
-        checkpoints=tuple(r["k"] for r in records),
-        records=tuple(records),
-        target=KHINCHIN,
-        experiment="khinchin",
-    )
+    return OrbitReport(records=tuple(records), target=KHINCHIN)
 
 
 def run_diamond_vaaler(cfg: ExperimentConfig) -> OrbitReport:
@@ -241,12 +227,7 @@ def run_diamond_vaaler(cfg: ExperimentConfig) -> OrbitReport:
         k = rec["k"]
         rec["trimmed_ratio"] = rec["trimmed"] / (k * log(k))
         rec["relative_deviation"] = abs(rec["trimmed_ratio"] - LOG2_INV) / LOG2_INV
-    return OrbitReport(
-        checkpoints=tuple(r["k"] for r in records),
-        records=tuple(records),
-        target=LOG2_INV,
-        experiment="diamond-vaaler",
-    )
+    return OrbitReport(records=tuple(records), target=LOG2_INV)
 
 
 @dataclass(frozen=True)

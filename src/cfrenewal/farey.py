@@ -306,40 +306,15 @@ def renewal_trace(stream: DigitStream, n: int) -> RenewalTrace:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a1 = stream.digit(1)
-    first_visit = 0 if a1 == 1 else a1 - 1
-    in_k = first_visit <= n
-    if not in_k:
-        return RenewalTrace(n, (), (), 0, 0, n, False)
-    taus: list[int] = []
-    sums: list[int] = []
-    total = 0
-    if a1 > 1:
-        taus.append(a1 - 1)
-        total = a1 - 1
-        sums.append(total)
-    k = 2
-    while True:
-        try:
-            tau = stream.digit(k)
-        except StreamExhausted:
+    stream.digit(1)  # a stream with no digits raises StreamExhausted
+    visits: list[int] = []
+    t = -1
+    for a in stream:
+        t += a
+        if t > n:
             break
-        if total + tau > n:
-            break
-        total += tau
-        taus.append(tau)
-        sums.append(total)
-        k += 1
-    z_n = sums[-1] if sums else 0
-    return RenewalTrace(
-        n=n,
-        return_times=tuple(taus),
-        tau_sums=tuple(sums),
-        Z_n=z_n,
-        N_n=len(sums),
-        sigma_n=n - z_n,
-        in_K_n=True,
-    )
+        visits.append(t)
+    return _trace_from_visits(visits, n)
 
 
 def kac_process(sigma_n: int, n: int) -> float:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +165,18 @@ def test_tail_theoretical_column_and_monotone_frequency(tmp_path):
     assert freqs == sorted(freqs, reverse=True)
     half = [r for r in rows if r[0] == "0.5"][0]
     assert float(half[3]) == pytest.approx(0.050171, abs=1e-5)
+
+
+def test_tail_merges_repeated_epsilons(tmp_path):
+    # repeated epsilons are merged like repeated --n values: no row appears twice
+    bodies = []
+    for extra in (["--epsilon", "0.1"], ["--epsilon", "0.1", "--epsilon", "0.1"]):
+        stem = tmp_path / f"tail{len(bodies)}"
+        code, _ = run_cli("tail", "--seed", "3", "--trials", "200", "--n", "1000", *extra, "--out", str(stem))
+        assert code == 0
+        bodies.append(stem.with_suffix(".csv").read_text().splitlines()[1:])
+    assert len(bodies[0]) == 2
+    assert bodies[1] == bodies[0]
 
 
 def test_classic_khinchin_json(tmp_path):
@@ -346,10 +360,14 @@ def test_classic_flags_it_cannot_honour_exit_2(tmp_path, capsys, argv, flag):
 
 
 def test_cli_module_entrypoint_runs():
+    # the child finds the package where this process imported it from
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "cfrenewal.cli", "expand", "--constant", "sqrt2", "--count", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("1,2,2,0")

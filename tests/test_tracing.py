@@ -26,3 +26,22 @@ def test_tracer_installs_and_uninstall_restores_every_attribute(monkeypatch):
         after = vars(owner)
         assert after.keys() == attrs.keys()
         assert all(after[name] is value for name, value in attrs.items()), owner
+
+
+def test_traced_emit_span_counts_the_bytes_written(monkeypatch, tmp_path):
+    # the tracer reads the output stem from the first argument of cli._emit
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    tracing = importlib.import_module("tracing")
+    stem = tmp_path / "ly"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["classic", "--which", "ly", "--trials", "20", "--n", "100", "--out", str(stem)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    emits = [s for s in tracer.spans if s["name"] == "cli._emit"]
+    assert len(emits) == 1
+    written = [stem.with_suffix(ext).stat().st_size for ext in (".csv", ".json")]
+    assert min(written) > 0
+    assert emits[0]["bytes"] == sum(written)
