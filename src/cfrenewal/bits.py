@@ -31,6 +31,11 @@ _NP_31 = np.uint64(31)
 _NP_11 = np.uint64(11)
 _NP_ONE = np.uint64(1)
 
+_ROWS = 4  # uniforms per lane in one UniformLanes.draw
+# row i of a draw is i blocks past the lane's counter, and a draw advances it by _ROWS blocks
+_NP_ROW_OFFSETS = (np.arange(_ROWS, dtype=np.uint64) * _NP_GOLDEN)[:, None]
+_NP_ROWS_GOLDEN = np.uint64(_ROWS * _GOLDEN & _MASK64)
+
 _U53_HALF = 0.5
 _INV_2_53 = 2.0**-53
 
@@ -116,40 +121,42 @@ def uniforms_np(keys: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 
 class UniformLanes:
-    """In-place keyed uniforms for a fixed set of streams, one draw per lane per call.
+    """In-place keyed uniforms for a fixed set of streams, ``_ROWS`` draws per lane per call.
 
-    Lane i holds the counter ``keys[i] + (j+1)*GOLDEN`` of its next block j,
-    advanced by one wrapping add per draw, so the j-th call of :meth:`draw`
-    returns ``uniforms_np(keys, j)`` without allocating.  :meth:`keep`
-    drops lanes, and the kept lanes continue their own streams;
-    :meth:`restart` puts new streams on some lanes, from their block 0.
+    Lane i holds the counter ``keys[i] + (j+1)*GOLDEN`` of its next block j.
+    The k-th call of :meth:`draw` writes ``uniforms_np(keys, _ROWS*k + i)``
+    into row i of the caller's block and advances every counter by
+    ``_ROWS*GOLDEN``, wrapping, so rows come out in stream order without
+    allocating.  :meth:`keep` drops lanes, and the kept lanes continue
+    their own streams; :meth:`restart` puts new streams on some lanes, from
+    their block 0.
     """
 
-    __slots__ = ("counter", "out", "_block", "_scratch")
+    __slots__ = ("counter", "_bits")
 
     def __init__(self, keys: np.ndarray):
         self.counter = np.add(keys, _NP_GOLDEN, dtype=np.uint64)
-        n = len(self.counter)
-        self._block = np.empty(n, dtype=np.uint64)
-        self._scratch = np.empty(n, dtype=np.uint64)
-        self.out = np.empty(n, dtype=np.float64)
+        self._bits = np.empty((_ROWS, len(self.counter)), dtype=np.uint64)
 
-    def draw(self) -> np.ndarray:
-        """The next uniform of every lane, in ``self.out`` (overwritten by the next call)."""
-        mix64_np(self.counter, out=self._block, scratch=self._scratch)
-        np.add(self.counter, _NP_GOLDEN, out=self.counter)
-        return _uniforms_from_blocks_np(self._block, self.out)
+    def draw(self, out: np.ndarray) -> np.ndarray:
+        """Every lane's next ``_ROWS`` uniforms, written into the float64 ``(_ROWS, lanes)`` block ``out``.
+
+        ``out`` doubles as the mixer's scratch space; it may be a view, such
+        as rows of a larger array.
+        """
+        bits = self._bits
+        np.add(self.counter, _NP_ROW_OFFSETS, out=bits)
+        mix64_np(bits, out=bits, scratch=out.view(np.uint64))
+        np.add(self.counter, _NP_ROWS_GOLDEN, out=self.counter)
+        return _uniforms_from_blocks_np(bits, out)
 
     def keep(self, live: np.ndarray) -> None:
         """Keep the lanes where the boolean mask ``live`` is true, in order."""
         self.counter = self.counter[live]
-        n = len(self.counter)
-        self._block = self._block[:n]
-        self._scratch = self._scratch[:n]
-        self.out = self.out[:n]
+        self._bits = self._bits[:, : len(self.counter)]
 
     def restart(self, slots: np.ndarray, keys: np.ndarray) -> None:
-        """Put the streams ``keys`` on the lanes ``slots``; their next draw is block 0."""
+        """Put the streams ``keys`` on the lanes ``slots``; their next draw starts at block 0."""
         self.counter[slots] = np.add(keys, _NP_GOLDEN, dtype=np.uint64)
 
 

@@ -456,7 +456,8 @@ def _density_from_name(name: str) -> ClosedFormDensity:
 def cmd_operator(args, conf: dict) -> Table:
     density = _density_from_name(conf["density"])
     schedule = sorted(set(conf["n"]))
-    probes = tuple(conf["probe"])
+    # repeated probes merge, in first-seen order
+    probes = tuple(dict.fromkeys(conf["probe"]))
     if any(not 0.5 < p <= 1.0 for p in probes):
         raise UsageError("probes must lie in (1/2, 1]")
     mesh = farey_mesh(probes=probes)

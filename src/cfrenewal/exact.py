@@ -310,10 +310,6 @@ class DigitStream:
         return cls(LazyReal(BitSource(master_seed, stream_index), refine_cap).digits())
 
     @classmethod
-    def from_digits(cls, digits: Iterable[int]) -> "DigitStream":
-        return cls(digits)
-
-    @classmethod
     def constant(cls, digit: int) -> "DigitStream":
         def forever():
             while True:
@@ -418,7 +414,7 @@ def digits_of_rational(p: int, q: int) -> DigitStream:
         m, r = divmod(q, p)
         digits.append(m)
         q, p = p, r
-    return DigitStream.from_digits(digits)
+    return DigitStream(digits)
 
 
 def gauss_iteration_oracle(prefix: int, bits: int, count: int, precision: int = 4096) -> list[int]:

@@ -39,7 +39,13 @@ scan, ``_last_sums``.  A serial run hands it all of its trials, and it scans
 them on one pool of at most ``_LANES`` lanes, ``_BLOCK`` = 16 steps at a
 time: each step writes the lanes' sums into one row of a block history, and
 crossings are checked once per block, where the last history entry at or
-below a horizon is the value there.  A lane whose sum has passed the last
+below a horizon is the value there.  The lanes draw their uniforms
+``_ROWS`` = 4 steps at a time, in one call of ``UniformLanes.draw``, which
+pays the mixer's numpy calls once per four steps: the crossing scan draws
+them straight into the next four history rows, and each step reads its
+row's uniform before its sum overwrites it, so the history is all the
+float memory the scan needs; :func:`digit_sums_at` draws into one
+four-row block.  A lane whose sum has passed the last
 horizon retires at the next block end, so checking once per block costs
 each trial at most 15 extra uniforms.  A retired lane's slot restarts on
 the next pending trial, and retired lanes are compacted away once no trial
@@ -60,11 +66,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bits import UniformLanes, stream_key, stream_keys_np, uniforms_np
+from .bits import _ROWS, UniformLanes, stream_key, stream_keys_np, uniforms_np
 
 _CHUNK = 1 << 10  # largest block of uniforms one orbit draws at a time
 _LANES = 1 << 14  # lanes in one crossing pool or one lockstep block
-_BLOCK = 16  # steps of a crossing pool between two crossing checks
+_BLOCK = 16  # steps of a crossing pool between two crossing checks, a multiple of _ROWS
 _MAX_HORIZON = 1 << 53  # crossing sums are float64, exact integers below it
 
 
@@ -90,9 +96,10 @@ class _Lanes:
     """One sampled chain per lane, each lane running one trial of ``master_seed``.
 
     ``state`` is the chain's parameter, 0 at a trial's start; a subclass's
-    ``step`` draws every lane's next increment as an integer-valued double
-    in ``f``.  Buffers are allocated once; :meth:`keep` drops retired lanes
-    and :meth:`restart` starts new trials on them.
+    ``step(v)`` turns every lane's uniform ``v``, one row of a
+    ``uniforms.draw`` block, into its next increment as an integer-valued
+    double in ``f``.  Buffers are allocated once; :meth:`keep` drops retired
+    lanes and :meth:`restart` starts new trials on them, both between draws.
     """
 
     __slots__ = ("master_seed", "uniforms", "state", "f")
@@ -121,9 +128,11 @@ class _DigitLanes(_Lanes):
 
     __slots__ = ()
 
-    def step(self) -> np.ndarray:
-        """Draw one digit per lane; returns it as a float in ``f`` (overwritten by the next step)."""
-        v = self.uniforms.draw()
+    def step(self, v: np.ndarray) -> np.ndarray:
+        """One digit per lane from its uniform in ``v``; returns it as a float in ``f``.
+
+        ``f`` is overwritten by the next step.
+        """
         r, f = self.state, self.f
         # f = floor((1 + r (1 - v)) / v), evaluated in the scalar sampler's order
         np.subtract(1.0, v, out=f)
@@ -150,9 +159,8 @@ class _RunLanes(_Lanes):
         super().keep(live)
         self.g = self.g[: len(self.f)]
 
-    def step(self) -> np.ndarray:
-        """Draw one run per lane; returns the gaps ``run + 1`` between visits as floats in ``f``."""
-        v = self.uniforms.draw()
+    def step(self, v: np.ndarray) -> np.ndarray:
+        """One run per lane from its uniform in ``v``; returns the gaps ``run + 1`` as floats in ``f``."""
         s, f, g = self.state, self.f, self.g
         # run = floor((1 + s) (1 - v) / v), evaluated in this order
         np.add(1.0, s, out=f)
@@ -186,7 +194,9 @@ def _last_sums(
 
     The trials run on one pool of at most ``_LANES`` lanes of ``lane_cls``,
     stepped ``_BLOCK`` steps at a time.  Row j of a block's history holds
-    every lane's sum after j of its steps, row 0 the sums it started from.
+    every lane's sum after j of its steps, row 0 the sums it started from;
+    for j a multiple of ``_ROWS``, rows j+1 .. j+``_ROWS`` first hold the
+    uniforms of those steps, drawn at once.
     At the end of a block, one compare finds the lanes whose sum passed
     their next horizon h, and the last history entry <= h is each one's
     value there.  A lane steps until its sum passes the largest horizon,
@@ -219,8 +229,11 @@ def _last_sums(
     n_live = n
 
     while n_live:
-        for j in range(_BLOCK):
-            np.add(hist[j], lanes.step(), out=hist[j + 1])
+        for j0 in range(0, _BLOCK, _ROWS):
+            # the next _ROWS steps' uniforms fill the history rows their sums then overwrite
+            lanes.uniforms.draw(hist[j0 + 1 : j0 + 1 + _ROWS])
+            for j in range(j0, j0 + _ROWS):
+                np.add(hist[j], lanes.step(hist[j + 1]), out=hist[j + 1])
         last = hist[_BLOCK]
         w = np.flatnonzero(last > thr)
         if len(w):
@@ -292,11 +305,14 @@ def digit_sums_at(
         lanes = _DigitLanes(master_seed, trials[lo : lo + _LANES])
         s = np.zeros(len(lanes.state), dtype=np.int64)
         a = np.empty_like(s)
+        v = np.empty((_ROWS, len(s)))
         k = 0
         for j, cp in enumerate(cps.tolist()):
             while k < cp:
+                if k % _ROWS == 0:
+                    lanes.uniforms.draw(v)
                 # exact int64 sums: the float digits are copied into int64 before the add
-                np.copyto(a, lanes.step(), casting="unsafe")
+                np.copyto(a, lanes.step(v[k % _ROWS]), casting="unsafe")
                 np.add(s, a, out=s)
                 k += 1
             out[lo : lo + len(s), j] = s

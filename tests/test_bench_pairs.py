@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,26 @@ def test_raw_medians_read_the_runs_result_file(tmp_path):
     (out / "result.json").write_text(json.dumps({"workload": "simulate-short", "children": children}))
     raw = bench_pairs.raw_medians(tmp_path, "simulate-short", 7)
     assert raw == {"reps": 3, "rep_s": 0.41, "probe_s": 0.11, "first_rep_s": 0.295}
+
+
+def test_checkouts_at_paths_of_different_length_exit_2(tmp_path, monkeypatch, capsys):
+    for name in ("parent", "change", "changed"):
+        (tmp_path / name / "benchmarks").mkdir(parents=True)
+        (tmp_path / name / "benchmarks" / "run.py").write_text("")
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(spec))
+    out = tmp_path / "record.json"
+    for change, code in (("changed", 2), ("change", 0)):
+        argv = ["bench_pairs.py", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / change),
+                "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        if code:
+            with pytest.raises(SystemExit) as exc:
+                bench_pairs.main()
+            assert exc.value.code == code
+            assert "paths of equal length" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            # paths of equal length pass the check; with nothing to run, the record is written
+            assert bench_pairs.main() == code
+            assert json.loads(out.read_text())["workloads"] == {}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfrenewal.bits import (
+    _ROWS,
     BitSource,
     UniformLanes,
     block64,
@@ -16,6 +17,7 @@ from cfrenewal.bits import (
     uniform_from_block,
     uniforms_np,
 )
+from cfrenewal.sampling import _BLOCK
 
 
 def test_bits_deterministic_and_replayable():
@@ -110,22 +112,31 @@ def test_mix64_avalanche_on_single_bit():
     assert bin(x ^ y).count("1") > 10
 
 
+def _drawn(lanes: UniformLanes) -> np.ndarray:
+    out = np.empty((_ROWS, len(lanes.counter)))
+    assert lanes.draw(out) is out
+    return out
+
+
 def test_uniform_lanes_equal_uniforms_np():
     golden = 0x9E3779B97F4A7C15
     # keys a few counter steps below 2^64 make the counter wrap within the first draws
-    near_wrap = [(2**64 - k * golden) % 2**64 for k in (1, 2, 3)] + [2**64 - 1]
+    near_wrap = [(2**64 - k * golden) % 2**64 for k in (1, 2, 3, 5, 6)] + [2**64 - 1]
     keys = np.concatenate(
         (np.array(near_wrap, dtype=np.uint64), stream_keys_np(8, np.arange(60, dtype=np.uint64)))
     )
     lanes = UniformLanes(keys)
     live = np.arange(len(keys)) % 3 != 1
-    for j in range(201):
-        if j == 100:
+    for k in range(51):
+        if k == 25:
             # dropped lanes leave the kept ones on their own streams
             lanes.keep(live)
             keys = keys[live]
-        want = uniforms_np(keys, np.full(len(keys), j, dtype=np.uint64))
-        assert np.array_equal(lanes.draw(), want)
+        block = _drawn(lanes)
+        for i in range(_ROWS):
+            # row i of draw k is block _ROWS*k + i of every lane's stream
+            want = uniforms_np(keys, np.full(len(keys), _ROWS * k + i, dtype=np.uint64))
+            assert np.array_equal(block[i], want)
 
 
 def test_uniform_lanes_restart_starts_new_streams():
@@ -133,13 +144,36 @@ def test_uniform_lanes_restart_starts_new_streams():
     fresh = stream_keys_np(8, np.arange(100, 105, dtype=np.uint64))
     lanes = UniformLanes(keys)
     for _ in range(7):
-        lanes.draw()
+        _drawn(lanes)
     slots = np.array([3, 4, 17, 30, 39])
     lanes.restart(slots, fresh)
     keys = keys.copy()
     keys[slots] = fresh
-    steps = np.full(len(keys), 7, dtype=np.uint64)
+    steps = np.full(len(keys), 7 * _ROWS, dtype=np.uint64)
     steps[slots] = 0
-    for j in range(5):
-        # restarted lanes begin at block 0; the others go on from block 7
-        assert np.array_equal(lanes.draw(), uniforms_np(keys, steps + np.uint64(j)))
+    for k in range(5):
+        # restarted lanes begin at block 0; the others go on from block 7 * _ROWS
+        block = _drawn(lanes)
+        for i in range(_ROWS):
+            assert np.array_equal(block[i], uniforms_np(keys, steps + np.uint64(_ROWS * k + i)))
+
+
+def test_uniform_lanes_draw_into_rows_of_a_narrowed_history():
+    # as the crossing scan does: draws land in rows of a wider array cut to its live lanes
+    keys = stream_keys_np(3, np.arange(50, dtype=np.uint64))
+    hist = np.full((2 * _ROWS + 1, 50), -1.0)
+    lanes, twin = UniformLanes(keys), UniformLanes(keys)
+    live = np.arange(50) % 4 != 0
+    lanes.keep(live)
+    twin.keep(live)
+    hist = hist[:, : np.count_nonzero(live)]
+    lanes.draw(hist[1 : 1 + _ROWS])
+    lanes.draw(hist[1 + _ROWS :])
+    assert np.array_equal(hist[1 : 1 + _ROWS], _drawn(twin))
+    assert np.array_equal(hist[1 + _ROWS :], _drawn(twin))
+    assert np.all(hist.base[0] == -1.0) and np.all(hist.base[:, hist.shape[1] :] == -1.0)
+
+
+def test_rows_divide_the_crossing_block():
+    # lanes restart and compact only at block ends, which must fall between draws
+    assert _BLOCK % _ROWS == 0

@@ -179,6 +179,20 @@ def test_tail_merges_repeated_epsilons(tmp_path):
     assert bodies[1] == bodies[0]
 
 
+def test_operator_merges_repeated_probes(tmp_path):
+    # a repeated --probe keeps its first place and prints its rows once
+    bodies = []
+    for probes in (["0.75", "0.6"], ["0.75", "0.6", "0.75", "0.6"]):
+        stem = tmp_path / f"op{len(bodies)}"
+        args = [arg for p in probes for arg in ("--probe", p)]
+        code, _ = run_cli("operator", "--density", "one", "--n", "2", *args, "--out", str(stem))
+        assert code == 0
+        # the body: past the provenance line, whose config hash keeps the flags as given, and the header
+        bodies.append(stem.with_suffix(".csv").read_text().splitlines()[2:])
+    assert len(bodies[0]) == 2 and bodies[0][0].split(",")[2] == "0.75"
+    assert bodies[1] == bodies[0]
+
+
 def test_classic_khinchin_json(tmp_path):
     out = tmp_path / "kh"
     code, _ = run_cli(

@@ -148,7 +148,7 @@ def test_trimmed_sum_examples():
     (ones,) = orbit_records(DigitStream.constant(1), [5])
     assert (ones["S"], ones["trimmed"], ones["max_digit"]) == (5, 4, 1)
     # a finite stream that ends before the last checkpoint yields the records it reached
-    two_three = list(orbit_records(DigitStream.from_digits([2, 3]), [1, 2, 3]))
+    two_three = list(orbit_records(DigitStream([2, 3]), [1, 2, 3]))
     assert [(r["k"], r["a"], r["S"], r["trimmed"], r["max_digit"]) for r in two_three] == [
         (1, 2, 2, 0, 2),
         (2, 3, 5, 2, 3),
@@ -200,7 +200,7 @@ def test_mobius_state_normalizes_gcd():
 
 def test_stream_rejects_invalid_digits():
     with pytest.raises(ValueError):
-        DigitStream.from_digits([0]).digit(1)
+        DigitStream([0]).digit(1)
 
 
 def test_digit_overflow_is_a_typed_error():
@@ -209,7 +209,7 @@ def test_digit_overflow_is_a_typed_error():
     huge = LazyReal(BitSource(0, 0), state=MobiusState.constant(Fraction(1, 2**63 + 5)))
     with pytest.raises(DigitOverflowError):
         huge.next_digit()
-    stream = DigitStream.from_digits([2**63 - 1, 5])
+    stream = DigitStream([2**63 - 1, 5])
     stream.digit(1)
     with pytest.raises(DigitOverflowError):
         stream.digit(2)

@@ -134,13 +134,13 @@ def test_fluctuation_examples():
     rec = fluctuation(ones, 17)
     assert rec.X_n == 17 and rec.gap == 0 and rec.scaled == 0.0
 
-    s = DigitStream.from_digits([2, 3, 100])
+    s = DigitStream([2, 3, 100])
     rec4 = fluctuation(s, 4)
     assert rec4.X_n == 2 and rec4.gap == 2
     rec5 = fluctuation(s, 5)
     assert rec5.X_n == 5 and rec5.gap == 0
 
-    big_first = DigitStream.from_digits([10, 1])
+    big_first = DigitStream([10, 1])
     rec9 = fluctuation(big_first, 9)
     assert rec9.X_n == 0 and rec9.gap == 9
     assert rec9.scaled == pytest.approx(1.0)
@@ -151,13 +151,13 @@ def test_renewal_trace_spec_examples():
     tr = renewal_trace(ones, 10)
     assert tr.Z_n == 10 and tr.sigma_n == 0 and tr.in_K_n
 
-    s = DigitStream.from_digits([3, 2, 50])
+    s = DigitStream([3, 2, 50])
     tr4 = renewal_trace(s, 4)
     assert tr4.return_times[:2] == (2, 2)
     assert tr4.tau_sums[:2] == (2, 4)
     assert tr4.Z_n == 4 and tr4.sigma_n == 0
 
-    far = DigitStream.from_digits([10, 1])
+    far = DigitStream([10, 1])
     tr5 = renewal_trace(far, 5)
     assert not tr5.in_K_n and tr5.Z_n == 0 and tr5.N_n == 0 and tr5.sigma_n == 5
 
@@ -179,10 +179,10 @@ def test_lemma_identity_on_seeded_streams():
 
 def test_renewal_tau_construction_matches_lemma_cases():
     # first digit 1: tau_k = a_{k+1}; first digit > 1: tau_1 = a_1 - 1, then a_k
-    s = DigitStream.from_digits([1, 3, 2, 4])
+    s = DigitStream([1, 3, 2, 4])
     tr = renewal_trace(s, 9)
     assert tr.return_times == (3, 2, 4)
-    s2 = DigitStream.from_digits([3, 2, 4])
+    s2 = DigitStream([3, 2, 4])
     tr2 = renewal_trace(s2, 8)
     assert tr2.return_times == (2, 2, 4)
 

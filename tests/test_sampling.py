@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cfrenewal import sampling
-from cfrenewal.bits import block64, stream_key, uniform_from_block
+from cfrenewal.bits import _ROWS, block64, stream_key, uniform_from_block
 from cfrenewal.exact import DigitStream, orbit_records
 from cfrenewal.experiments import ExperimentConfig, fluctuation_samples
 from cfrenewal.farey import ly_orbit, ly_spent_time
@@ -179,10 +179,14 @@ def test_one_step_crossing_several_horizons(chain):
 
 
 @pytest.mark.parametrize("chain", _CHAINS, ids=["digits", "ly"])
-@pytest.mark.parametrize("k", [sampling._BLOCK, sampling._BLOCK + 1, 2 * sampling._BLOCK])
+@pytest.mark.parametrize(
+    "k",
+    [_ROWS - 1, _ROWS, _ROWS + 1, sampling._BLOCK, sampling._BLOCK + 1, 2 * sampling._BLOCK],
+)
 def test_final_crossing_on_block_edges(chain, k):
-    # the last horizon is S_(k-1), so trial 0 passes it on step k: the last
-    # step of its first or second block, or the first step of its second
+    # the last horizon is S_(k-1), so trial 0 passes it on step k: on either
+    # side of the end of its first draw of _ROWS uniforms, on the last step
+    # of its first or second block, or on the first step of its second
     run, scalar = chain[:2]
     sums = _scalar_sums(chain, 43, 0, k)
     horizons = (sums[k // 2], sums[k - 1])
@@ -220,12 +224,12 @@ def test_rows_independent_of_neighbouring_lanes(monkeypatch):
 
 
 def test_digit_sums_at_equal_scalar_walk():
-    cps = [10, 50]
-    out = digit_sums_at(21, np.arange(40, dtype=np.uint64), cps)
-    for t in range(40):
-        digs = list(islice(sampled_digits(21, t), 50))
-        assert out[t, 0] == sum(digs[:10])
-        assert out[t, 1] == sum(digs)
+    # the later checkpoint lists fall inside one draw of _ROWS uniforms and on both sides of its end
+    for cps in ((10, 50), (1, 3, 4, 5, 9), (_ROWS - 1, _ROWS, 2 * _ROWS + 1)):
+        out = digit_sums_at(21, np.arange(40, dtype=np.uint64), cps)
+        for t in range(40):
+            digs = list(islice(sampled_digits(21, t), cps[-1]))
+            assert out[t].tolist() == [sum(digs[:k]) for k in cps]
 
 
 def test_orbit_checkpoints_consistency():

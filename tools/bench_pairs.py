@@ -6,7 +6,9 @@
         --hash operator-trace:801-803 --hash-command "operator --density one" \\
         --claim operator-trace:wall_s --title "..." --out BENCH_7.json
 
-``--parent`` and ``--change`` are two source checkouts.  For every seed S of
+``--parent`` and ``--change`` are two source checkouts whose resolved paths
+have the same length; the run exits 2 otherwise, because the length of a
+checkout's path alone has moved timings (see :func:`revision`).  For every seed S of
 ``--run W:SEEDS`` one pair is run: ``python3 benchmarks/run.py --workload W
 --seed S --seconds T --trace 0`` once from the root of each checkout, the side
 that goes first alternating from pair to pair; T is the ``run_seconds`` of the
@@ -80,7 +82,9 @@ def revision(tree: Path) -> dict:
     """Checkout directory, commit, uncommitted edits and a content hash of the package sources.
 
     The length of the checkout's path is kept because it moves where arrays
-    land in the heap, which alone has shifted timings by a few per cent."""
+    land in the heap, which alone has shifted timings by a few per cent, and
+    ``setup_s`` by 10-28 % on identical import code; :func:`main` therefore
+    refuses checkouts whose paths differ in length."""
     digest = hashlib.sha256()
     for path in sorted((tree / "src").rglob("*.py")):
         digest.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes() + b"\0")
@@ -206,6 +210,10 @@ def main() -> int:
     for side, tree in trees.items():
         if not (tree / "benchmarks" / "run.py").is_file():
             parser.error(f"--{side} {tree} has no benchmarks/run.py")
+    lengths = {side: len(str(tree)) for side, tree in trees.items()}
+    if lengths["parent"] != lengths["change"]:
+        parser.error(f"--parent and --change resolve to paths of {lengths['parent']} and "
+                     f"{lengths['change']} characters; put the checkouts at paths of equal length")
     spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
