@@ -6,7 +6,6 @@ from .bits import BitSource
 from .exact import (
     DigitOverflowError,
     DigitStream,
-    DyadicInterval,
     LazyReal,
     MobiusState,
     NonGenericPointError,
@@ -18,7 +17,6 @@ __all__ = [
     "BitSource",
     "DigitOverflowError",
     "DigitStream",
-    "DyadicInterval",
     "LazyReal",
     "MobiusState",
     "NonGenericPointError",

@@ -447,8 +447,6 @@ def _density_from_name(name: str) -> ClosedFormDensity:
             theta = float(name.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad power density '{name}'") from None
-        if not 0 < theta <= 1:
-            raise UsageError("power exponent must lie in (0, 1]")
         return ClosedFormDensity.power(theta)
     raise UsageError(f"unknown density '{name}' (expected one, id, or power:theta)")
 
@@ -458,8 +456,6 @@ def cmd_operator(args, conf: dict) -> Table:
     schedule = sorted(set(conf["n"]))
     # repeated probes merge, in first-seen order
     probes = tuple(dict.fromkeys(conf["probe"]))
-    if any(not 0.5 < p <= 1.0 for p in probes):
-        raise UsageError("probes must lie in (1/2, 1]")
     mesh = farey_mesh(probes=probes)
     traces = uniform_returning_trace(density, schedule, probes, mesh)
     oracle_cutoff = 20

@@ -25,7 +25,6 @@ refinement cap are exactly those of a bit-at-a-time walk.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, gcd, log
 from typing import Iterable, Iterator, Optional
@@ -51,32 +50,6 @@ class StreamExhausted(Exception):
 
 class DigitOverflowError(Exception):
     """Raised when a digit or digit sum exceeds the 64-bit checked range."""
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """The interval [p/2^B, (p+1)/2^B] holding all reals consistent with B bits."""
-
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        if not 0 <= self.numerator < (1 << self.exponent) or self.exponent < 0:
-            raise ValueError("need 0 <= p < 2^B with B >= 0")
-
-    def refine(self, bit: int) -> "DyadicInterval":
-        return DyadicInterval(2 * self.numerator + bit, self.exponent + 1)
-
-    @property
-    def lower(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    @property
-    def upper(self) -> Fraction:
-        return Fraction(self.numerator + 1, 1 << self.exponent)
-
-    def contains(self, other: "DyadicInterval") -> bool:
-        return self.lower <= other.lower and other.upper <= self.upper
 
 
 class MobiusState:
@@ -131,10 +104,6 @@ class MobiusState:
         else:
             self.b = 2 * self.b
             self.d = 2 * self.d
-
-    def determined_digit(self) -> Optional[int]:
-        """The common integer part of 1/xi on the image interval, if constant."""
-        return self.refine(0, 0)[0]
 
     def refine(self, bits: int, count: int) -> tuple[Optional[int], int]:
         """Absorb the ``count`` bits of ``bits`` (first bit highest) until the digit is determined.
@@ -216,32 +185,24 @@ class LazyReal:
     next digit is determined on the whole image interval, then composes the
     Gauss step into the state.  The per-digit refinement cap turns
     measure-zero pathologies into :class:`NonGenericPointError`.
-    ``bits_consumed`` counts every bit absorbed into the state (and the
-    tracked prefix), also when ``next_digit`` raises.
+    ``bits_consumed`` counts every bit absorbed into the state, also when
+    ``next_digit`` raises.  The consumed bits themselves are not kept: the
+    state alone carries what the digits need.
     """
 
-    __slots__ = ("source", "state", "refine_cap", "bits_consumed", "digits_emitted", "_prefix")
+    __slots__ = ("source", "state", "refine_cap", "bits_consumed", "digits_emitted")
 
     def __init__(
         self,
         source: BitSource,
         refine_cap: int = DEFAULT_REFINE_CAP,
         state: Optional[MobiusState] = None,
-        track_prefix: bool = False,
     ):
         self.source = source
         self.state = MobiusState.identity() if state is None else state
         self.refine_cap = refine_cap
         self.bits_consumed = 0
         self.digits_emitted = 0
-        self._prefix = 0 if track_prefix else None
-
-    @property
-    def dyadic(self) -> Optional[DyadicInterval]:
-        """Consumed-bit interval, when prefix tracking is enabled."""
-        if self._prefix is None:
-            return None
-        return DyadicInterval(self._prefix, self.bits_consumed)
 
     def next_digit(self) -> int:
         st = self.state
@@ -258,8 +219,6 @@ class LazyReal:
                 src.skip(used)
                 absorbed += used
                 self.bits_consumed += used
-                if self._prefix is not None:
-                    self._prefix = (self._prefix << used) | (bits >> (avail - used))
             if m is not None:
                 break
             if st.is_exhausted():
@@ -347,9 +306,6 @@ class DigitStream:
         while k < len(self._digits) or self._pull():
             yield self._digits[k]
             k += 1
-
-    def __len__(self) -> int:
-        return len(self._digits)
 
     def digit(self, k: int) -> int:
         """a_k, 1-indexed."""

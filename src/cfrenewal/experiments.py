@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.refine_cap < 1:
             raise ValueError("refine_cap must be >= 1")
+        if self.chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
         if self.digit_source not in ("sampled", "exact"):
             raise ValueError("digit_source must be 'sampled' or 'exact'")
 
@@ -237,7 +239,6 @@ class WeakLawReport:
     median: float
     target: float
     within: dict[float, float]
-    samples: EmpiricalDistribution
 
 
 def _sums_chunk(seed: int, trial_indices: np.ndarray, checkpoints: tuple[int, ...]) -> np.ndarray:
@@ -262,7 +263,6 @@ def run_weak_law(cfg: ExperimentConfig) -> WeakLawReport:
         median=float(np.median(ratios)),
         target=LOG2_INV,
         within=within,
-        samples=EmpiricalDistribution.from_samples(ratios),
     )
 
 

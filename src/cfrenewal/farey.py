@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
-from typing import Sequence, Union
+from typing import Sequence
 
 from .bits import BitSource
 from .exact import (
@@ -24,8 +24,6 @@ from .exact import (
     NonGenericPointError,
     StreamExhausted,
 )
-
-ExactPoint = Union[Fraction, "LazyOrbit"]
 
 # branch matrices acting on the current iterate, as rows (num, den) of
 # (alpha*x + beta)/(gamma*x + delta)
@@ -127,72 +125,18 @@ def _require_unit_interval(x: Fraction) -> None:
         raise ValueError(f"point {x} outside [0, 1]")
 
 
-def farey_step(x: ExactPoint) -> ExactPoint:
+def farey_step(x: Fraction) -> Fraction:
     """One exact application of the Farey map."""
-    if isinstance(x, LazyOrbit):
-        x.step()
-        return x
     _require_unit_interval(x)
     if 2 * x <= 1:
         return x / (1 - x)
     return 1 / x - 1
 
 
-def ly_step(x: Fraction) -> Fraction:
-    """One exact application of the Lasota-Yorke map."""
-    _require_unit_interval(x)
-    if 2 * x <= 1:
-        return x / (1 - x)
-    return 2 * x - 1
-
-
-def inverse_branch_power(n: int, x: Fraction) -> Fraction:
-    """n-fold left inverse branch: x / (1 + n*x), exactly."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _require_unit_interval(x)
-    return Fraction(x.numerator, x.denominator + n * x.numerator)
-
-
 def _first_digit(x: Fraction) -> int:
     if not 0 < x <= 1:
         raise ValueError(f"first digit undefined for {x}")
     return x.denominator // x.numerator
-
-
-def entry_time(x: Union[Fraction, DigitStream]) -> int:
-    """First entry time of x into A1 = (1/2, 1] under the Farey map.
-
-    For exact rationals the orbit count is computed directly and checked
-    against the digit identity e(x) = a_1(x) - 1; the two must agree.
-    """
-    if isinstance(x, DigitStream):
-        return x.digit(1) - 1
-    _require_unit_interval(x)
-    if x == 0:
-        raise ValueError("0 never enters A1")
-    steps = 0
-    y = x
-    while 2 * y <= 1:
-        y = y / (1 - y)
-        steps += 1
-    assert steps == _first_digit(x) - 1, "orbit count disagrees with digit formula"
-    return steps
-
-
-def first_return_time(x: Fraction) -> int:
-    """First return time to A1 for x in A1; equals a_1 of the image point."""
-    if not Fraction(1, 2) < x <= 1:
-        raise ValueError(f"{x} is not in (1/2, 1]")
-    y = farey_step(x)
-    steps = 1
-    while not Fraction(1, 2) < y <= 1:
-        if y == 0:
-            raise StreamExhausted(f"orbit of {x} absorbed at 0 before returning")
-        y = farey_step(y)
-        steps += 1
-    assert steps == _first_digit(1 / x - 1), "orbit count disagrees with digit formula"
-    return steps
 
 
 def _left_branch_run(x: Fraction, count: int) -> Fraction:
@@ -352,33 +296,21 @@ def _trace_from_visits(visits: Sequence[int], n: int) -> RenewalTrace:
     )
 
 
-def ly_spent_time(x: ExactPoint, n: int) -> RenewalTrace:
-    """Exact Lasota-Yorke orbit up to time n, recording visits to A = (1/2, 1].
+def ly_spent_time(x: LazyOrbit, n: int) -> RenewalTrace:
+    """Lasota-Yorke orbit up to time n, recording visits to A = (1/2, 1].
 
-    Accepts an exact rational start (orbit in exact rational arithmetic) or a
-    :class:`LazyOrbit` built with :func:`ly_orbit` for lazily refined random
-    starts.
+    ``x`` is a :class:`LazyOrbit` at time 0, built with :func:`ly_orbit`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if x.time != 0:
+        raise ValueError("orbit must start at time 0")
     visits: list[int] = []
-    if isinstance(x, LazyOrbit):
-        if x.time != 0:
-            raise ValueError("orbit must start at time 0")
-        for t in range(n):
-            if x.step():
-                visits.append(t)
-        if x.in_A1():
-            visits.append(n)
-        return _trace_from_visits(visits, n)
-    _require_unit_interval(x)
-    y = x
-    half = Fraction(1, 2)
-    for t in range(n + 1):
-        if y > half:
+    for t in range(n):
+        if x.step():
             visits.append(t)
-        if t < n:
-            y = ly_step(y)
+    if x.in_A1():
+        visits.append(n)
     return _trace_from_visits(visits, n)
 
 
@@ -391,10 +323,3 @@ def ly_orbit(master_seed: int, stream_index: int, refine_cap: int = DEFAULT_REFI
     """Lazily refined Lasota-Yorke orbit of a seeded random point."""
     return LazyOrbit(BitSource(master_seed, stream_index), _LY_LEFT, _LY_RIGHT, refine_cap)
 
-
-def interval_index(x: Fraction) -> int:
-    """Index m with x in A_m = (1/(m+1), 1/m]."""
-    if not 0 < x <= 1:
-        raise ValueError(f"{x} has no interval index")
-    m = _first_digit(x)
-    return m

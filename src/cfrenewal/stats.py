@@ -37,10 +37,6 @@ class EmpiricalDistribution:
             return float(out)
         return out
 
-    def tail_frequency(self, threshold: float) -> float:
-        """Fraction of samples strictly above the threshold."""
-        return 1.0 - float(self.cdf(threshold))
-
 
 def ks_statistic(samples: EmpiricalDistribution, reference: Callable[[np.ndarray], np.ndarray]) -> float:
     """sup_t max(|F_emp(t-) - F(t)|, |F_emp(t) - F(t)|) over the sample points."""

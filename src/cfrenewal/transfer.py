@@ -107,16 +107,6 @@ def apply_transfer_mu(f: Density, mesh: Optional[np.ndarray] = None) -> GridFunc
     return GridFunction(mesh, vals)
 
 
-def apply_pf_lambda(g: Density, mesh: Optional[np.ndarray] = None) -> GridFunction:
-    """One application of the Perron-Frobenius operator with respect to dx."""
-    if mesh is None:
-        mesh = g.mesh if isinstance(g, GridFunction) else farey_mesh()
-    x = mesh
-    w = 1.0 / (1.0 + x) ** 2
-    vals = (_eval(g, x / (1.0 + x)) + _eval(g, 1.0 / (1.0 + x))) * w
-    return GridFunction(mesh, vals)
-
-
 def _eval(f: Density, x: np.ndarray) -> np.ndarray:
     return np.asarray(f(x), dtype=np.float64)
 
@@ -232,58 +222,11 @@ def cone_check(f: GridFunction) -> ConeReport:
     )
 
 
-def decreasing_on_A1_check(
-    f: ClosedFormDensity,
-    n_max: int,
-    mesh: Optional[np.ndarray] = None,
-    tol: float = 1e-9,
-) -> tuple[bool, float]:
-    """Verify T^{n+1} f <= T^n f + tol on the A1 nodes for all n < n_max.
-
-    Returns (all_ok, worst_violation) where the violation is the largest
-    observed increase (negative when the sequence strictly decreases).
-    """
-    if mesh is None:
-        mesh = farey_mesh()
-    plan = TransferPlan(mesh)
-    a1 = mesh > 0.5
-    values = _eval(f, mesh)
-    worst = -np.inf
-    ok = True
-    for _ in range(n_max):
-        nxt = plan.apply(values)
-        jump = float(np.max(nxt[a1] - values[a1]))
-        worst = max(worst, jump)
-        if jump > tol:
-            ok = False
-        values = nxt
-    return ok, worst
-
-
 def wandering_rate(n: int) -> float:
     """W_n = log(n + 2), the measure of the first n preimages of A1 under 1/x dx."""
     if n < 0:
         raise ValueError("n must be >= 0")
     return log(n + 2)
-
-
-def bn_sequence(n: int) -> float:
-    """Return-sequence normalization n / log(n + 2) (exponent-one instance)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n / log(n + 2)
-
-
-def return_tail_measure(n: int) -> float:
-    """1/x-measure of {x in A1 : first return time > n}, from first principles.
-
-    The return time from x in (1/2, 1] is the first digit of 1/x - 1, so the
-    set is [(n+1)/(n+2), 1] and its measure log((n+2)/(n+1)).  Summing over
-    n telescopes to the wandering rate log(n+2), which pins the endpoint.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return log(n + 2) - log(n + 1)
 
 
 @dataclass(frozen=True)
@@ -309,11 +252,12 @@ def uniform_returning_trace(
     schedule = list(schedule)
     if schedule != sorted(schedule) or len(set(schedule)) != len(schedule):
         raise ValueError("schedule must be strictly increasing")
+    probes_arr = np.asarray(probes, dtype=np.float64)
+    # written so that NaN fails it
+    if not np.all((probes_arr > 0.5) & (probes_arr <= 1.0)):
+        raise ValueError("probes must lie in (1/2, 1]")
     if mesh is None:
         mesh = farey_mesh(probes=tuple(probes))
-    probes_arr = np.asarray(probes, dtype=np.float64)
-    if np.any(probes_arr <= 0.5) or np.any(probes_arr > 1.0):
-        raise ValueError("probes must lie in (1/2, 1]")
     plan = TransferPlan(mesh)
     values = _eval(f, mesh)
     traces = []

@@ -75,13 +75,16 @@ def test_horizons_from_2_pow_53_exit_2(capsys):
 
 
 def test_unknown_density_exits_2():
-    code, _ = run_cli("operator", "--density", "bogus", "--n", "2")
-    assert code == 2
+    # a power exponent outside (0, 1] names no density either
+    for density in ("bogus", "power:0", "power:1.5", "power:nan"):
+        code, _ = run_cli("operator", "--density", density, "--n", "2")
+        assert code == 2
 
 
 def test_probe_outside_a1_exits_2():
-    code, _ = run_cli("operator", "--density", "id", "--n", "2", "--probe", "0.3")
-    assert code == 2
+    for probe in ("0.3", "nan"):
+        code, _ = run_cli("operator", "--density", "id", "--n", "2", "--probe", probe)
+        assert code == 2
 
 
 def test_operator_density_one_products_equal_wandering_rate(tmp_path):

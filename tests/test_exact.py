@@ -11,7 +11,6 @@ import pytest
 from cfrenewal.bits import BitSource
 from cfrenewal.exact import (
     DigitStream,
-    DyadicInterval,
     LazyReal,
     MobiusState,
     NonGenericPointError,
@@ -114,13 +113,13 @@ def test_emit_maps_interval_through_gauss_step():
     src = BitSource(21, 0)
     st = MobiusState.identity()
     for _ in range(30):
-        digit = st.determined_digit()
+        digit = st.refine(0, 0)[0]
         while digit is None:
             prev = st.interval()
             st.absorb(src.next_bit())
             lo, hi = st.interval()
             assert prev[0] <= lo and hi <= prev[1]
-            digit = st.determined_digit()
+            digit = st.refine(0, 0)[0]
         # at emission both endpoints are positive and share the digit
         blo, bhi = st.interval()
         assert blo > 0
@@ -172,27 +171,6 @@ def test_nongeneric_point_detected_for_all_zero_bits():
         real.next_digit()
 
 
-def test_dyadic_interval_refinement():
-    dy = DyadicInterval(0, 0)
-    dy1 = dy.refine(1)
-    assert dy1 == DyadicInterval(1, 1)
-    assert dy.contains(dy1)
-    assert dy1.lower == Fraction(1, 2) and dy1.upper == Fraction(1, 1)
-    with pytest.raises(ValueError):
-        DyadicInterval(4, 2)
-
-
-def test_lazy_real_tracks_dyadic_prefix():
-    real = LazyReal(BitSource(5, 0), track_prefix=True)
-    for _ in range(20):
-        real.next_digit()
-    dy = real.dyadic
-    assert dy is not None
-    assert dy.exponent == real.bits_consumed
-    replay = BitSource(5, 0)
-    assert dy.numerator == replay.next_bits(dy.exponent)
-
-
 def test_mobius_state_normalizes_gcd():
     st = MobiusState(2, 4, 0, 8)
     assert (st.a, st.b, st.c, st.d) == (1, 2, 0, 4)
@@ -222,12 +200,11 @@ def test_bits_consumed_matches_source_when_next_digit_raises():
             return (1 << count) - 1, count
 
     src = OnesSource(0, 0)
-    real = LazyReal(src, refine_cap=64, track_prefix=True)
+    real = LazyReal(src, refine_cap=64)
     assert real.next_digit() == 1
     with pytest.raises(NonGenericPointError):
         real.next_digit()
     assert real.bits_consumed == src.position == 66
-    assert real.dyadic == DyadicInterval((1 << 66) - 1, 66)
 
 
 def _reference_digit(st: MobiusState):
@@ -242,36 +219,34 @@ def _reference_digit(st: MobiusState):
 def _reference_walk(src: BitSource, state: MobiusState, count: int):
     """Certified digits by a bit-by-bit walk that normalizes with the full gcd.
 
-    Yields (digit, bits consumed, prefix, (a, b, c, d), common factor removed)
+    Yields (digit, bits consumed, (a, b, c, d), common factor removed)
     after each digit, and stops where the image collapses to 0.
     """
     st = MobiusState(state.a, state.b, state.c, state.d)
-    bits = prefix = 0
+    bits = 0
     for _ in range(count):
         digit = _reference_digit(st)
         while digit is None:
             if st.a == 0 and st.b == 0:
                 return
-            bit = src.next_bit()
-            st.absorb(bit)
+            st.absorb(src.next_bit())
             bits += 1
-            prefix = 2 * prefix + bit
             digit = _reference_digit(st)
         a, b, c, d = st.c - digit * st.a, st.d - digit * st.b, st.a, st.b
         g = gcd(gcd(a, b), gcd(c, d))
         st.a, st.b, st.c, st.d = a // g, b // g, c // g, d // g
-        yield digit, bits, prefix, (st.a, st.b, st.c, st.d), g
+        yield digit, bits, (st.a, st.b, st.c, st.d), g
 
 
 def _lazy_walk(src: BitSource, state: MobiusState, count: int):
-    real = LazyReal(src, state=state, track_prefix=True)
+    real = LazyReal(src, state=state)
     for _ in range(count):
         try:
             digit = real.next_digit()
         except StreamExhausted:
             return
         st = real.state
-        yield digit, real.bits_consumed, real.dyadic.numerator, (st.a, st.b, st.c, st.d)
+        yield digit, real.bits_consumed, (st.a, st.b, st.c, st.d)
 
 
 def test_lazy_real_matches_full_gcd_reference_walk():
@@ -279,8 +254,8 @@ def test_lazy_real_matches_full_gcd_reference_walk():
         ref = list(_reference_walk(BitSource(seed, 7), MobiusState.identity(), 300))
         got = list(_lazy_walk(BitSource(seed, 7), MobiusState.identity(), 300))
         assert len(got) == 300
-        assert got == [row[:4] for row in ref]
-        for _, bits, _, (a, b, c, d), g in ref:
+        assert got == [row[:3] for row in ref]
+        for _, bits, (a, b, c, d), g in ref:
             assert g == 1
             assert gcd(a, c) == 1
             assert gcd(gcd(a, b), gcd(c, d)) == 1
@@ -293,14 +268,14 @@ def test_lazy_real_matches_reference_walk_from_user_states():
         ref = list(_reference_walk(BitSource(seed, 3), MobiusState(2, 1, 0, 4), 300))
         got = list(_lazy_walk(BitSource(seed, 3), MobiusState(2, 1, 0, 4), 300))
         assert len(got) == 300
-        assert got == [row[:4] for row in ref]
+        assert got == [row[:3] for row in ref]
         fired += sum(g > 1 for *_, g in ref)
     # the state starts with a and c both even, so normalization has work to do
     assert fired > 0
     for value in (Fraction(3, 7), Fraction(113, 355), Fraction(1, 2**40 + 1), Fraction(89, 144)):
         ref = list(_reference_walk(BitSource(1, 0), MobiusState.constant(value), 50))
         got = list(_lazy_walk(BitSource(1, 0), MobiusState.constant(value), 50))
-        assert got == [row[:4] for row in ref]
+        assert got == [row[:3] for row in ref]
         assert [row[0] for row in got] == _digits(digits_of_rational(value.numerator, value.denominator))
 
 
@@ -316,18 +291,17 @@ def test_block_refinement_matches_reference_walk(cap):
                 for s in (ref_src, src):
                     for _ in range(served):
                         s.next_bit()
-                real = LazyReal(src, refine_cap=cap, state=make(), track_prefix=True)
+                real = LazyReal(src, refine_cap=cap, state=make())
                 prev = emitted = 0
-                for digit, bits, prefix, abcd, _ in _reference_walk(ref_src, make(), 200):
+                for digit, bits, abcd, _ in _reference_walk(ref_src, make(), 200):
                     if bits - prev > cap:
                         with pytest.raises(NonGenericPointError):
                             real.next_digit()
                         assert real.bits_consumed == src.position - served == prev + cap
-                        assert real.dyadic.numerator == prefix >> (bits - prev - cap)
                         break
                     assert real.next_digit() == digit
                     st = real.state
-                    assert (real.bits_consumed, real.dyadic.numerator, (st.a, st.b, st.c, st.d)) == (bits, prefix, abcd)
+                    assert (real.bits_consumed, (st.a, st.b, st.c, st.d)) == (bits, abcd)
                     assert src.position == served + bits
                     prev = bits
                     emitted += 1
@@ -348,7 +322,7 @@ def test_refine_stops_at_the_first_determining_bit():
         ref.absorb((block >> (count - bits_needed)) & 1)
     st = MobiusState(1, 0, -1, 2)
     assert st.refine(block, count) == (_reference_digit(ref), bits_needed)
-    assert st.determined_digit() == _reference_digit(ref)
+    assert st.refine(0, 0)[0] == _reference_digit(ref)
     assert (st.a, st.b, st.c, st.d) == (ref.a, ref.b, ref.c, ref.d)
     short = MobiusState(1, 0, -1, 2)
     assert short.refine(block >> (count - bits_needed + 1), bits_needed - 1) == (None, bits_needed - 1)

@@ -36,7 +36,14 @@ def test_config_validation():
         ExperimentConfig(epsilons=(0.0,))
     with pytest.raises(ValueError):
         ExperimentConfig(digit_source="float")
-    for bad in ({"workers": 0}, {"workers": -3}, {"refine_cap": 0}, {"refine_cap": -5}):
+    for bad in (
+        {"workers": 0},
+        {"workers": -3},
+        {"refine_cap": 0},
+        {"refine_cap": -5},
+        {"chunk_size": 0},
+        {"chunk_size": -1},
+    ):
         with pytest.raises(ValueError, match="must be >= 1"):
             ExperimentConfig(**bad)
 

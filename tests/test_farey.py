@@ -9,23 +9,24 @@ from math import gcd, log
 import pytest
 
 from cfrenewal.bits import BitSource
-from cfrenewal.exact import DigitStream, digits_of_rational
+from cfrenewal.exact import DigitStream
 from cfrenewal.farey import (
     LazyOrbit,
-    entry_time,
     farey_orbit,
     farey_step,
-    first_return_time,
     fluctuation,
-    interval_index,
-    inverse_branch_power,
     kac_process,
     ly_orbit,
     ly_spent_time,
-    ly_step,
     renewal_trace,
     verify_induced_map,
 )
+
+
+def _interval_index(x: Fraction) -> int:
+    """Index m with x in A_m = (1/(m+1), 1/m]: the first digit of x."""
+    return x.denominator // x.numerator
+
 
 def test_farey_step_spec_examples():
     assert farey_step(Fraction(1, 3)) == Fraction(1, 2)
@@ -42,71 +43,10 @@ def test_farey_fixed_points():
         p = rng.randrange(1, q)
         g = gcd(p, q)
         x = Fraction(p // g, q // g)
-        if x >= 1 or interval_index(x) < 2:
+        if x >= 1 or _interval_index(x) < 2:
             continue
-        n = interval_index(x)
-        assert interval_index(farey_step(x)) == n - 1
-
-
-def test_inverse_branch_power_examples():
-    x = Fraction(2, 5)
-    assert inverse_branch_power(0, x) == x
-    assert inverse_branch_power(3, Fraction(1)) == Fraction(1, 4)
-    y = inverse_branch_power(5, Fraction(1, 2))
-    assert y == Fraction(1, 7)
-    z = y
-    for _ in range(5):
-        z = farey_step(z)
-    assert z == Fraction(1, 2)
-
-
-def test_inverse_branch_power_conjugacy_random():
-    rng = random.Random(9)
-    for _ in range(1000):
-        q = rng.randrange(2, 10**6)
-        p = rng.randrange(1, q + 1)
-        g = gcd(p, q)
-        x = Fraction(p // g, q // g)
-        n = rng.randrange(0, 50)
-        y = inverse_branch_power(n, x)
-        for _ in range(n):
-            y = farey_step(y)
-        assert y == x
-
-
-def test_entry_time_examples():
-    assert entry_time(Fraction(3, 4)) == 0
-    assert entry_time(Fraction(1)) == 0
-    # x just above 1/5 has first digit 4, entry time 3
-    assert entry_time(Fraction(1, 5) + Fraction(1, 1000)) == 3
-    assert entry_time(digits_of_rational(1, 4)) == 3
-
-
-def test_entry_time_random_rationals_match_digit_formula():
-    rng = random.Random(12)
-    for _ in range(500):
-        q = rng.randrange(3, 10**6)
-        p = rng.randrange(1, q)
-        g = gcd(p, q)
-        x = Fraction(p // g, q // g)
-        if x == 1:
-            continue
-        e = entry_time(x)  # internally asserts orbit count == a_1 - 1
-        assert e == x.denominator // x.numerator - 1
-
-
-def test_first_return_time_examples():
-    assert first_return_time(Fraction(3, 5)) == 1
-    assert first_return_time(Fraction(9, 10)) == 9
-    rng = random.Random(31)
-    for _ in range(300):
-        q = rng.randrange(5, 10**5)
-        p = rng.randrange(q // 2 + 1, q)
-        g = gcd(p, q)
-        x = Fraction(p // g, q // g)
-        if not Fraction(1, 2) < x < 1:
-            continue
-        first_return_time(x)  # internal assertion checks phi = a_1 o T
+        n = _interval_index(x)
+        assert _interval_index(farey_step(x)) == n - 1
 
 
 def test_verify_induced_map_examples():
@@ -161,6 +101,10 @@ def test_renewal_trace_spec_examples():
     tr5 = renewal_trace(far, 5)
     assert not tr5.in_K_n and tr5.Z_n == 0 and tr5.N_n == 0 and tr5.sigma_n == 5
 
+    # the only visit is at time 0: it starts the clock but is not a return
+    once = renewal_trace(DigitStream([1, 100]), 5)
+    assert once.in_K_n and once.Z_n == 0 and once.N_n == 0 and once.sigma_n == 5
+
 
 def test_lemma_identity_on_seeded_streams():
     # X_n == 1 + Z_{n-1} exactly whenever the orbit hits A_1 by n-1, else 0
@@ -193,14 +137,6 @@ def test_kac_process_values():
     assert kac_process(8, 98) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         kac_process(11, 10)
-
-
-def test_ly_step_and_spent_time_examples():
-    assert ly_step(Fraction(3, 4)) == Fraction(1, 2)
-    tr = ly_spent_time(Fraction(3, 4), 1)
-    assert tr.Z_n == 0 and tr.sigma_n == 1 and tr.in_K_n
-    tr2 = ly_spent_time(Fraction(2, 3), 2)
-    assert tr2.Z_n == 0 and tr2.sigma_n == 2
 
 
 def test_ly_spent_time_deterministic_replay():
@@ -291,8 +227,8 @@ def test_interval_structure_up_to_thousand():
             Fraction(2, 2 * n + 1),  # midpoint of (1/(n+1), 1/n)
             Fraction(1, n),  # right endpoint, included
         ):
-            assert interval_index(x) == n
-            assert interval_index(farey_step(x)) == n - 1
+            assert _interval_index(x) == n
+            assert _interval_index(farey_step(x)) == n - 1
 
 
 def test_induced_map_closed_form_matches_stepwise():

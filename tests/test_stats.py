@@ -68,12 +68,6 @@ def test_two_sample_ks_matches_bruteforce():
     assert ks_two_sample(ex, ey) == pytest.approx(brute)
 
 
-def test_tail_frequency_monotone_in_epsilon():
-    ed = EmpiricalDistribution.from_samples(np.linspace(0, 1, 101))
-    freqs = [ed.tail_frequency(e) for e in (0.1, 0.3, 0.5, 0.9)]
-    assert all(a >= b for a, b in zip(freqs, freqs[1:]))
-
-
 def test_tail_report_fields():
     rep = TailReport.build(0.5, 10**6, 0.05, 10**5)
     assert rep.theoretical == pytest.approx(0.050171, abs=1e-5)

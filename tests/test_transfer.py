@@ -11,16 +11,12 @@ from cfrenewal.transfer import (
     ClosedFormDensity,
     GridFunction,
     TransferPlan,
-    apply_pf_lambda,
     apply_transfer_mu,
-    bn_sequence,
     cone_check,
     conjugation_check,
-    decreasing_on_A1_check,
     exact_iterate,
     farey_mesh,
     mu_integral,
-    return_tail_measure,
     uniform_returning_trace,
     wandering_rate,
 )
@@ -55,15 +51,6 @@ def test_transfer_twice_matches_branch_oracle():
     val = exact_iterate(ID, 2, 1.0)
     grid = apply_transfer_mu(apply_transfer_mu(ID, MESH), MESH)
     assert grid(1.0) == pytest.approx(val, rel=1e-8)
-
-
-def test_pf_lambda_closed_forms():
-    out = apply_pf_lambda(ONE, MESH)
-    want = 2.0 / (1 + MESH) ** 2
-    assert np.max(np.abs(out.values - want)) <= 1e-12
-    out_id = apply_pf_lambda(ID, MESH)
-    want_id = 1.0 / (1 + MESH) ** 2
-    assert np.max(np.abs(out_id.values - want_id)) <= 1e-12
 
 
 def test_conjugation_identity():
@@ -201,53 +188,10 @@ def test_cone_preserved_along_iteration():
         assert rep.max_second_difference <= 1e-9
 
 
-def test_decreasing_on_a1():
-    ok, worst = decreasing_on_A1_check(ID, 100, MESH)
-    assert ok and worst <= 1e-9
-    ok_one, worst_one = decreasing_on_A1_check(ONE, 10, MESH)
-    assert ok_one and worst_one <= 1e-12  # exact equality chain
-
-
 def test_wandering_rate_values():
     assert wandering_rate(0) == pytest.approx(log(2))
     assert wandering_rate(98) == pytest.approx(log(100))
     assert wandering_rate(10**6) / log(10**6) == pytest.approx(1.0, abs=0.1)
-
-
-def test_bn_sequence():
-    assert bn_sequence(2) == pytest.approx(2 / log(4))
-    for n in (10, 1000, 10**6):
-        assert bn_sequence(n) * wandering_rate(n) / n == pytest.approx(1.0)
-    # same n/log(n) scale as the two-branch interval-map normalization
-    assert bn_sequence(10**6) / (10**6 / log(10**6)) == pytest.approx(1.0, rel=0.1)
-
-
-def test_return_tail_measure_first_principles():
-    assert return_tail_measure(0) == pytest.approx(log(2))
-    assert return_tail_measure(1) == pytest.approx(log(3 / 2))
-    # exact expansion: n*log(1 + 1/(n+1)) = 1 - 1.5/n + O(1/n^2)
-    n = 10**6
-    assert n * return_tail_measure(n) == pytest.approx(1.0 - 1.5 / n, abs=1e-9)
-    # telescoping consistency with the wandering rate
-    total = sum(return_tail_measure(k) for k in range(0, 50))
-    assert total == pytest.approx(wandering_rate(49))
-
-
-def test_return_tail_measure_against_orbit_counts():
-    # measure the return-tail set by integrating 1/x over a fine rational grid
-    # classified with the exact first-return time
-    from fractions import Fraction
-
-    from cfrenewal.farey import first_return_time
-
-    n = 1
-    m = 4000
-    acc = 0.0
-    for i in range(m):
-        x = Fraction(1, 2) + Fraction(2 * i + 1, 4 * m)  # midpoints of (1/2, 1)
-        if first_return_time(x) > n:
-            acc += (0.5 / m) / float(x)
-    assert acc == pytest.approx(return_tail_measure(n), abs=2e-3)
 
 
 def test_uniform_returning_negative_control_one():
@@ -262,6 +206,13 @@ def test_uniform_returning_trend_small():
     for p, v in zip(traces[0].probes, traces[0].values):
         oracle = exact_iterate(ID, 16, p)
         assert abs(v - oracle) / oracle <= 1e-4
+
+
+def test_uniform_returning_rejects_probes_outside_a1():
+    # NaN compares false both ways, so it must fail the range check too
+    for bad in (0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="probes must lie"):
+            uniform_returning_trace(ID, [1, 4], probes=(0.75, bad))
 
 
 def test_mu_integral_preserved():
