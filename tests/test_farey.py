@@ -11,6 +11,8 @@ import pytest
 from cfrenewal.bits import BitSource
 from cfrenewal.exact import DigitStream
 from cfrenewal.farey import (
+    _LY_LEFT,
+    _LY_RIGHT,
     LazyOrbit,
     farey_orbit,
     farey_step,
@@ -137,6 +139,30 @@ def test_kac_process_values():
     assert kac_process(8, 98) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         kac_process(11, 10)
+
+
+class _PrefixSource:
+    """Bit source that serves fixed leading bits, then a seeded stream."""
+
+    def __init__(self, prefix: str, tail: BitSource):
+        self.prefix = [int(c) for c in prefix]
+        self.tail = tail
+
+    def next_bit(self) -> int:
+        return self.prefix.pop(0) if self.prefix else self.tail.next_bit()
+
+
+def _ly_orbit_from_prefix(prefix: str) -> LazyOrbit:
+    return LazyOrbit(_PrefixSource(prefix, BitSource(77, 0)), _LY_LEFT, _LY_RIGHT)
+
+
+def test_ly_step_and_spent_time_examples():
+    # just below 3/4 = 0.11: 2x - 1 lands just below 1/2, so time 0 is the only visit
+    tr = ly_spent_time(_ly_orbit_from_prefix("10" + "1" * 40), 1)
+    assert tr.Z_n == 0 and tr.sigma_n == 1 and tr.in_K_n
+    # just below 2/3 = 0.(10): 2/3 -> 1/3 -> 1/2 from below, no return by time 2
+    tr2 = ly_spent_time(_ly_orbit_from_prefix("10" * 20 + "00"), 2)
+    assert tr2.Z_n == 0 and tr2.sigma_n == 2 and tr2.in_K_n
 
 
 def test_ly_spent_time_deterministic_replay():
