@@ -493,10 +493,6 @@ def cmd_classic(args, conf: dict) -> Table:
         raise UsageError("classic --which weak-law takes at most one --n")
     if which == "stable" and n and len(n) != 2:
         raise UsageError("classic --which stable takes exactly two --n (k1 and k2)")
-    if any(k < 1 for k in n):
-        raise UsageError("--n must be >= 1")
-    if which in ("weak-law", "diamond-vaaler") and any(k < 2 for k in n):
-        raise UsageError(f"classic --which {which} divides by log n and needs every --n >= 2")
     if which in ORBIT_VALUES:
         run, values = ORBIT_VALUES[which]
         report = run(replace(base, checkpoints=tuple(sorted(set(n))) if n else (1_000, 10_000, 100_000, 1_000_000)))

@@ -2,9 +2,9 @@
 
 Every run is a pure function of its configuration: trial t draws all of its
 randomness from stream t of the master seed.  A serial run hands all trials
-to one call, and the samplers scan them on one lane pool; only a process
-pool splits them, into chunks with fixed boundaries whose results are merged
-in index order, so outputs are identical for any worker count.  Trials of
+to one call, and the samplers scan them on one lane pool; a process pool
+gives each worker one contiguous range of trials and merges the results in
+index order, so outputs are identical for any worker count.  Trials of
 the certified digit source that hit a non-generic point are resampled at
 stream index t + trials (and counted); the sampled source cannot produce
 one.
@@ -12,10 +12,10 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import log
 from multiprocessing import get_context
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class ExperimentConfig:
     workers: int = 1
     refine_cap: int = DEFAULT_REFINE_CAP
     digit_source: str = "sampled"  # "sampled" | "exact"
-    chunk_size: int = 8192
+    chunk_size: ClassVar[int] = 8192  # not a setting: benchmarks/workloads.py spreads its checks by it
     n: int = 1_000_000
     checkpoints: tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000)
     k_pair: tuple[int, int] = (10_000, 100_000)
@@ -57,8 +57,10 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.refine_cap < 1:
             raise ValueError("refine_cap must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+        if self.n < 2:
+            raise ValueError("n must be >= 2: the weak law divides by log n")
+        if any(k < 1 for k in self.checkpoints):
+            raise ValueError("every checkpoint must be >= 1")
         if self.digit_source not in ("sampled", "exact"):
             raise ValueError("digit_source must be 'sampled' or 'exact'")
 
@@ -84,35 +86,20 @@ class FluctuationSamples:
         return np.log(np.maximum(g, 1.0)) / log(horizon)
 
 
-def _chunk_bounds(trials: int, workers: int, chunk_size: int) -> list[int]:
-    """Boundaries of a pooled run's chunks: a multiple of ``workers`` near-equal chunks.
-
-    The fewest such chunks that each hold at most ``chunk_size`` trials; the
-    sizes differ by at most one, larger chunks first.
-    """
-    jobs = workers * -(-trials // (workers * chunk_size))
-    size, extra = divmod(trials, jobs)
-    return [k * size + min(k, extra) for k in range(jobs + 1)]
-
-
 def _map_chunks(fn, cfg: ExperimentConfig, *args, offset: int = 0) -> list:
     """``fn(seed, trial_indices, *args)`` over all trials, results in index order.
 
-    Trial t runs as trial ``offset + t``.  With one worker, or trials for
-    only one chunk, ``fn`` runs once on all trials; otherwise the chunks of
-    :func:`_chunk_bounds`, near-equal so that every worker gets the same
-    share, run on a process pool.  Results do not depend on the chunks.
+    Trial t runs as trial ``offset + t``.  Each of ``min(workers, trials)``
+    workers gets one contiguous range of trials, the sizes differing by at
+    most one; a single range runs in this process, more run on a fork pool.
+    Results do not depend on the ranges.
     """
-    if cfg.workers <= 1 or cfg.trials <= cfg.chunk_size:
-        return [fn(cfg.master_seed, np.arange(offset, offset + cfg.trials, dtype=np.uint64), *args)]
-    workers = min(cfg.workers, cfg.trials)  # no empty chunks
-    bounds = _chunk_bounds(cfg.trials, workers, cfg.chunk_size)
-    jobs = [
-        (cfg.master_seed, np.arange(offset + lo, offset + hi, dtype=np.uint64), *args)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    workers = min(cfg.workers, cfg.trials)
+    ranges = np.array_split(np.arange(offset, offset + cfg.trials, dtype=np.uint64), workers)
+    if workers == 1:
+        return [fn(cfg.master_seed, ranges[0], *args)]
     with get_context("fork").Pool(workers) as pool:
-        return pool.starmap(fn, jobs)
+        return pool.starmap(fn, [(cfg.master_seed, r, *args) for r in ranges])
 
 
 def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
@@ -224,6 +211,8 @@ def run_khinchin(cfg: ExperimentConfig) -> OrbitReport:
 
 def run_diamond_vaaler(cfg: ExperimentConfig) -> OrbitReport:
     """Trimmed-sum trajectory S_n^flat / (n log n) of one seeded orbit."""
+    if any(k < 2 for k in cfg.checkpoints):
+        raise ValueError("every checkpoint must be >= 2: the trimmed ratio divides by log k")
     records = list(orbit_records(sampling.sampled_digits(cfg.master_seed, 0), cfg.checkpoints))
     for rec in records:
         k = rec["k"]
@@ -314,18 +303,19 @@ class LyUniformLawReport:
     trials: int
     last_visits: np.ndarray
 
-    def scaled(self, horizon: int) -> np.ndarray:
-        j = self.horizons.index(horizon)
-        last = self.last_visits[:, j]
-        sigma = np.where(last >= 0, horizon - last, horizon).astype(np.float64)
-        return np.log(np.maximum(sigma, 1.0)) / log(horizon)
-
 
 def run_ly_uniform_law(cfg: ExperimentConfig) -> LyUniformLawReport:
-    """Scaled spent time of the Lasota-Yorke map against U[0, 1]."""
+    """Scaled spent time of the Lasota-Yorke map against U[0, 1].
+
+    A last visit at 0 and no visit both leave the whole horizon as spent
+    time, so the spent time is the digit path's gap at ``max(last, 0)``.
+    """
     horizons = tuple(sorted(cfg.horizons))
     last = _stack_rows(_map_chunks(sampling.ly_last_visits, cfg, horizons))
-    report = LyUniformLawReport(horizons=horizons, ks=(), never_visited=(), trials=cfg.trials, last_visits=last)
-    ks = tuple(ks_uniform(EmpiricalDistribution.from_samples(report.scaled(n))) for n in horizons)
-    never_visited = tuple(float(np.mean(col < 0)) for col in last.T)
-    return replace(report, ks=ks, never_visited=never_visited)
+    return LyUniformLawReport(
+        horizons=horizons,
+        ks=uniform_law_from_samples(FluctuationSamples(horizons, np.maximum(last, 0))).ks,
+        never_visited=tuple(float(np.mean(col < 0)) for col in last.T),
+        trials=cfg.trials,
+        last_visits=last,
+    )

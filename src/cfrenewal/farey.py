@@ -32,6 +32,11 @@ _FAREY_RIGHT = (-1, 1, 1, 0)  # 1/x - 1
 _LY_LEFT = (1, 0, -1, 1)  # x / (1 - x)
 _LY_RIGHT = (2, -1, 0, 1)  # 2x - 1
 
+# verify_induced_map_seeded: bits of the materialized point, and the left-run
+# length beyond which a run collapses through the closed form
+_SEEDED_BITS = 4096
+_SEEDED_RUN_LIMIT = 10_000
+
 
 @dataclass(frozen=True)
 class RenewalTrace:
@@ -181,25 +186,19 @@ def verify_induced_map(x: Fraction, steps: int, stepwise_limit: int = 64) -> boo
     return True
 
 
-def verify_induced_map_seeded(
-    master_seed: int,
-    stream_index: int,
-    stages: int,
-    bits: int = 4096,
-    run_limit: int = 10_000,
-) -> bool:
+def verify_induced_map_seeded(master_seed: int, stream_index: int, stages: int) -> bool:
     """Induced-map check on a seeded point, materialized to an exact dyadic.
 
-    The point is the first ``bits`` stream bits read as p/2^bits; each stage
-    walks the Farey orbit branch by branch (left runs beyond ``run_limit``
-    collapse through the domain-checked closed form) and compares the
-    (e+1)-fold image against the Gauss step by exact cross multiplication.
-    Unreduced integer pairs avoid per-step gcd work; numerators and
-    denominators stay below 2^bits throughout.
+    The point is the first ``_SEEDED_BITS`` stream bits read as
+    p/2^_SEEDED_BITS; each stage walks the Farey orbit branch by branch (left
+    runs beyond ``_SEEDED_RUN_LIMIT`` collapse through the domain-checked
+    closed form) and compares the (e+1)-fold image against the Gauss step by
+    exact cross multiplication.  Unreduced integer pairs avoid per-step gcd
+    work; numerators and denominators stay below 2^_SEEDED_BITS throughout.
     """
     src = BitSource(master_seed, stream_index)
-    p = src.next_bits(bits)
-    q = 1 << bits
+    p = src.next_bits(_SEEDED_BITS)
+    q = 1 << _SEEDED_BITS
     if p == 0:
         raise NonGenericPointError("materialized point is 0")
     for _ in range(stages):
@@ -210,7 +209,7 @@ def verify_induced_map_seeded(
         # orbit route: a-1 left-branch steps, then the right branch
         left = a - 1
         tp, tq = p, q
-        if left > run_limit:
+        if left > _SEEDED_RUN_LIMIT:
             if tp * (left + 1) > tq:
                 return False  # would leave the left branch mid-run
             tq -= left * tp
@@ -272,23 +271,12 @@ def _trace_from_visits(visits: Sequence[int], n: int) -> RenewalTrace:
     """Assemble a RenewalTrace from the sorted visit times within [0, n]."""
     if not visits:
         return RenewalTrace(n, (), (), 0, 0, n, False)
-    taus = []
-    prev = 0
-    for t in visits:
-        if t == 0:
-            continue  # a visit at time 0 starts the clock but is not a return
-        taus.append(t - prev)
-        prev = t
-    sums = []
-    total = 0
-    for tau in taus:
-        total += tau
-        sums.append(total)
+    sums = tuple(t for t in visits if t)  # a visit at time 0 starts the clock but is not a return
     z_n = visits[-1]
     return RenewalTrace(
         n=n,
-        return_times=tuple(taus),
-        tau_sums=tuple(sums),
+        return_times=tuple(b - a for a, b in zip((0, *sums), sums)),
+        tau_sums=sums,
         Z_n=z_n,
         N_n=len(sums),
         sigma_n=n - z_n,

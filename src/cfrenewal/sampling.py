@@ -49,9 +49,9 @@ four-row block.  A lane whose sum has passed the last
 horizon retires at the next block end, so checking once per block costs
 each trial at most 15 extra uniforms.  A retired lane's slot restarts on
 the next pending trial, and retired lanes are compacted away once no trial
-is pending, so a run has one tail of sparsely filled steps instead of one
-per chunk (chunks exist only for worker processes).  The scan's sums are
-float64: the steps are integer-valued doubles and every recorded sum is an
+is pending, so a call has one tail of sparsely filled steps (a pooled run
+makes one call per worker, on one contiguous range of trials).  The scan's
+sums are float64: the steps are integer-valued doubles and every recorded sum is an
 integer below its horizon, so the sums are exact below 2^53, and horizons
 must stay below 2^53; :func:`digit_sums_at` keeps exact int64 sums.  Digit
 sums start at S_0 = 0.  A Lasota-Yorke run of length ``run`` ends with a

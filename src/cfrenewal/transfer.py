@@ -70,14 +70,10 @@ class GridFunction:
         return np.interp(x, self.mesh, self.values)
 
 
-def farey_mesh(
-    size: int = MESH_SIZE,
-    head: float = HEAD_NODE,
-    probes: Sequence[float] = DEFAULT_PROBES,
-) -> np.ndarray:
+def farey_mesh(size: int = MESH_SIZE, probes: Sequence[float] = DEFAULT_PROBES) -> np.ndarray:
     """Graded mesh on [0, 1] with exactly ``size`` nodes.
 
-    Geometric spacing from ``head`` up to a crossover, uniform from there to
+    Geometric spacing from ``HEAD_NODE`` up to a crossover, uniform from there to
     1/2, uniform again on [1/2, 1], with the probe points inserted as exact
     nodes.  The geometric zone count is adjusted so deduplication lands on
     the requested size.
@@ -90,7 +86,7 @@ def farey_mesh(
     fixed = np.concatenate(([0.0], mid, right, np.asarray(probes, dtype=np.float64)))
     n_geo = size - n_right - n_mid - 2
     for _ in range(4):
-        geo = np.geomspace(head, crossover, n_geo + 1)
+        geo = np.geomspace(HEAD_NODE, crossover, n_geo + 1)
         mesh = np.unique(np.concatenate((fixed, geo)))
         if len(mesh) == size:
             return mesh

@@ -280,7 +280,7 @@ def test_criterion_12_ly_uniform_law():
 def test_criterion_13_determinism(tmp_path):
     from cfrenewal.cli import main as cli_main
 
-    # 9000 trials make two 4500-trial chunks, so --workers 2 really starts a pool
+    # --workers 2 runs two 4500-trial ranges on a pool
     outs = []
     for tag, workers in (("a", "1"), ("b", "2"), ("c", "1")):
         stem = tmp_path / f"det_{tag}"

@@ -131,7 +131,7 @@ def test_simulate_single_trial_row(tmp_path):
 
 
 def test_simulate_worker_counts_byte_identical(tmp_path):
-    # 9000 trials make two 4500-trial chunks, so --workers 2 really runs a pool
+    # --workers 2 runs two 4500-trial ranges on a pool
     for workers in ("1", "2"):
         code, _ = run_cli(
             "simulate",
@@ -358,8 +358,9 @@ def test_key_outside_64_bits_exit_2(tmp_path, capsys, argv, flag, value):
         (("classic", "--which", "khinchin", "--n", "1000", "--workers", "2"), "--workers"),
         (("classic", "--which", "diamond-vaaler", "--n", "1000", "--trials", "5"), "--trials"),
         (("classic", "--which", "diamond-vaaler", "--n", "1000", "--workers", "2"), "--workers"),
-        (("classic", "--which", "diamond-vaaler", "--n", "1"), "--n"),
-        (("classic", "--which", "weak-law", "--trials", "50", "--n", "1"), "--n"),
+        # a repeated value still counts as one more --n
+        (("classic", "--which", "weak-law", "--trials", "50", "--n", "100", "--n", "100"), "--n"),
+        (("classic", "--which", "stable", "--trials", "50", "--n", "500", "--n", "500", "--n", "500"), "--n"),
         (("expand", "--constant", "golden", "--count", "3", "--stream", "5"), "--stream"),
         (("expand", "--rational", "3/7", "--count", "3", "--refine-cap", "9"), "--refine-cap"),
     ],
@@ -367,12 +368,28 @@ def test_key_outside_64_bits_exit_2(tmp_path, capsys, argv, flag, value):
 def test_classic_flags_it_cannot_honour_exit_2(tmp_path, capsys, argv, flag):
     # stable needs a pair of digit counts, weak-law one, and the orbit
     # experiments run a single orbit; anything else would be dropped silently.
-    # weak-law and diamond-vaaler divide by log n, which is 0 at n = 1.
     # expand's stream index and refinement cap act on seeded digits only
     out = tmp_path / "out"
     code, _ = run_cli(*argv, "--out", str(out))
     assert code == 2
     assert flag in capsys.readouterr().err
+    assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classic", "--which", "diamond-vaaler", "--n", "1"), "every checkpoint must be >= 2"),
+        (("classic", "--which", "weak-law", "--trials", "50", "--n", "1"), "n must be >= 2"),
+    ],
+)
+def test_classic_log_divisor_of_zero_exit_2(tmp_path, capsys, argv, message):
+    # weak-law and diamond-vaaler divide by log n, which is 0 at n = 1; the
+    # library rejects it and the CLI reports the library's message
+    out = tmp_path / "out"
+    code, _ = run_cli(*argv, "--out", str(out))
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("out.*"))
 
 

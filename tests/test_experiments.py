@@ -10,7 +10,6 @@ import pytest
 from cfrenewal.experiments import (
     ExperimentConfig,
     _digit_sums_parallel,
-    _chunk_bounds,
     _map_chunks,
     fluctuation_samples,
     run_diamond_vaaler,
@@ -41,11 +40,27 @@ def test_config_validation():
         {"workers": -3},
         {"refine_cap": 0},
         {"refine_cap": -5},
-        {"chunk_size": 0},
-        {"chunk_size": -1},
+        {"checkpoints": (0, 10)},
+        {"checkpoints": (-1,)},
     ):
         with pytest.raises(ValueError, match="must be >= 1"):
             ExperimentConfig(**bad)
+    # the chunk cap is a class constant, not a setting
+    assert ExperimentConfig().chunk_size == 8192
+    with pytest.raises(TypeError):
+        ExperimentConfig(chunk_size=1)
+
+
+def test_weak_law_rejects_n_below_two():
+    # the ratios divide by log n, which is 0 at n = 1
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        run_weak_law(ExperimentConfig(trials=10, n=1))
+
+
+def test_diamond_vaaler_rejects_checkpoints_below_two():
+    # the trimmed ratio divides by log k, which is 0 at k = 1
+    with pytest.raises(ValueError, match="checkpoint must be >= 2"):
+        run_diamond_vaaler(ExperimentConfig(checkpoints=(1, 10)))
 
 
 def test_runs_are_pure_functions_of_config():
@@ -57,50 +72,47 @@ def test_runs_are_pure_functions_of_config():
 
 
 def test_worker_count_is_observationally_irrelevant():
-    base = ExperimentConfig(master_seed=17, trials=6000, horizons=(1000,), chunk_size=1024)
+    base = ExperimentConfig(master_seed=17, trials=6000, horizons=(1000,))
     x1 = fluctuation_samples(base).x_values
-    x2 = fluctuation_samples(
-        ExperimentConfig(master_seed=17, trials=6000, horizons=(1000,), chunk_size=1024, workers=2)
-    ).x_values
-    assert np.array_equal(x1, x2)
-    # the Lasota-Yorke law and both passes of the stable law, over several chunks
-    small = replace(base, trials=2000, horizons=(300, 3000), k_pair=(200, 2000), chunk_size=512)
-    ly1, ly2 = (run_ly_uniform_law(replace(small, workers=w)) for w in (1, 2))
-    assert np.array_equal(ly1.last_visits, ly2.last_visits) and ly1.ks == ly2.ks
-    st1, st2 = (run_stable_stability(replace(small, workers=w)) for w in (1, 2))
-    for e1, e2 in zip(st1.samples, st2.samples):
-        assert np.array_equal(e1.values, e2.values)
+    for workers in (2, 3):
+        assert np.array_equal(fluctuation_samples(replace(base, workers=workers)).x_values, x1)
+    # the Lasota-Yorke law and both passes of the stable law
+    small = replace(base, trials=2000, horizons=(300, 3000), k_pair=(200, 2000))
+    ly1 = run_ly_uniform_law(small)
+    st1 = run_stable_stability(small)
+    for workers in (2, 3):
+        ly = run_ly_uniform_law(replace(small, workers=workers))
+        assert np.array_equal(ly.last_visits, ly1.last_visits) and ly.ks == ly1.ks
+        st = run_stable_stability(replace(small, workers=workers))
+        for e1, e2 in zip(st1.samples, st.samples):
+            assert np.array_equal(e1.values, e2.values)
 
 
 def test_chunk_driver_offset_pass_equals_direct_sums():
-    cfg = ExperimentConfig(master_seed=9, trials=2500, chunk_size=1000)
+    cfg = ExperimentConfig(master_seed=9, trials=2500)
     k = 300
     direct = digit_sums_at(9, np.arange(cfg.trials, 2 * cfg.trials, dtype=np.uint64), (k,))
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         got = _digit_sums_parallel(replace(cfg, workers=workers), (k,), offset=cfg.trials)
         assert np.array_equal(got, direct)
 
 
-def test_chunk_size_does_not_change_results():
-    # a serial run is one call; chunks exist only for worker processes
-    cfg = ExperimentConfig(master_seed=4, trials=4000, horizons=(700,))
-    serial = fluctuation_samples(cfg).x_values
-    for chunk_size in (256, 3000):
-        pooled = fluctuation_samples(replace(cfg, workers=2, chunk_size=chunk_size)).x_values
-        assert np.array_equal(pooled, serial)
+def _range_of(seed, trial_indices, extra):
+    # module level, so that the fork pool can pickle it
+    return seed, trial_indices.tolist(), extra
 
 
-def test_pooled_chunks_are_balanced_over_workers():
-    # a multiple of the worker count, near-equal, none above chunk_size
-    def sizes(trials, workers):
-        return np.diff(_chunk_bounds(trials, workers, 8192)).tolist()
-
-    assert sizes(12000, 2) == [6000, 6000]
-    assert sizes(40000, 2) == [6667] * 4 + [6666] * 2
-    for trials, workers in ((8193, 2), (9000, 3), (100000, 2), (16385, 2)):
-        got = sizes(trials, workers)
-        assert sum(got) == trials and len(got) % workers == 0
-        assert max(got) <= 8192 and max(got) - min(got) <= 1
+@pytest.mark.parametrize("workers, trials", [(2, 7), (2, 10), (3, 10), (3, 11), (3, 2)])
+def test_pooled_map_gives_each_worker_one_contiguous_range(workers, trials):
+    cfg = ExperimentConfig(master_seed=6, trials=trials, workers=workers)
+    got = _map_chunks(_range_of, cfg, "x", offset=40)
+    assert len(got) == min(workers, trials)
+    assert all(seed == 6 and extra == "x" for seed, _, extra in got)
+    ranges = [r for _, r, _ in got]
+    # in index order, each contiguous, together every trial once from the offset
+    assert sum(ranges, []) == list(range(40, 40 + trials))
+    sizes = [len(r) for r in ranges]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
 def test_serial_map_calls_fn_once_on_all_trials():
@@ -110,7 +122,7 @@ def test_serial_map_calls_fn_once_on_all_trials():
         calls.append((seed, trial_indices.tolist(), extra))
         return len(trial_indices)
 
-    cfg = ExperimentConfig(master_seed=5, trials=2500, chunk_size=1000)
+    cfg = ExperimentConfig(master_seed=5, trials=2500)
     assert _map_chunks(fn, cfg, "x", offset=10) == [2500]
     assert calls == [(5, list(range(10, 2510)), "x")]
 
@@ -209,8 +221,6 @@ def test_stable_stability_small():
 def test_ly_uniform_law_small():
     rep = run_ly_uniform_law(ExperimentConfig(master_seed=3, trials=3000, horizons=(300, 3000)))
     assert rep.ks[1] < rep.ks[0] + 0.05
-    scaled = rep.scaled(3000)
-    assert np.all((scaled >= 0) & (scaled <= 1))
 
 
 def test_exact_source_resampling_counts_pathological_trials():
