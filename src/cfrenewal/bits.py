@@ -48,8 +48,16 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_key(name: str, value: int) -> None:
+    """Seeds and stream indices are 64-bit keys; the mixer would reduce any other value onto another key."""
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+
+
 def stream_key(master_seed: int, stream_index: int) -> int:
     """Per-stream key derived from the master seed by double mixing."""
+    _check_key("master_seed", master_seed)
+    _check_key("stream_index", stream_index)
     return mix64(mix64(master_seed) ^ ((stream_index + 1) * _GOLDEN & _MASK64))
 
 
@@ -102,7 +110,8 @@ def _uniforms_from_blocks_np(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def stream_keys_np(master_seed: int, stream_indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`stream_key` over an array of stream indices."""
+    """Vectorized :func:`stream_key` over a uint64 array of stream indices."""
+    _check_key("master_seed", master_seed)
     idx = stream_indices.astype(np.uint64)
     seed_mixed = np.uint64(mix64(master_seed))
     return mix64_np(seed_mixed ^ ((idx + _NP_ONE) * _NP_GOLDEN))
@@ -172,8 +181,6 @@ class BitSource:
     __slots__ = ("master_seed", "stream_index", "position", "_key", "_block", "_avail")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        if master_seed < 0 or stream_index < 0:
-            raise ValueError("master_seed and stream_index must be non-negative")
         self.master_seed = master_seed
         self.stream_index = stream_index
         self.position = 0

@@ -360,8 +360,6 @@ def cmd_expand(args, conf: dict) -> Table:
             raise UsageError(f"expand {flag} acts only on --seed digits")
     if conf["count"] < 1:
         raise UsageError("--count must be >= 1")
-    if conf["refine-cap"] < 1:
-        raise UsageError("--refine-cap must be >= 1")
     if conf["rational"]:
         try:
             p_str, q_str = conf["rational"].split("/")
@@ -495,7 +493,7 @@ def cmd_classic(args, conf: dict) -> Table:
         raise UsageError("classic --which stable takes exactly two --n (k1 and k2)")
     if which in ORBIT_VALUES:
         run, values = ORBIT_VALUES[which]
-        report = run(replace(base, checkpoints=tuple(sorted(set(n))) if n else (1_000, 10_000, 100_000, 1_000_000)))
+        report = run(replace(base, checkpoints=tuple(sorted(set(n)))) if n else base)
         header = ("k", *values)
         columns = tuple([r[key] for r in report.records] for key in header)
         summary = {"experiment": which, "target": report.target, "checkpoints": columns[0]}
@@ -511,7 +509,7 @@ def cmd_classic(args, conf: dict) -> Table:
         header, row = ("n", "median", "target"), (report.n, report.median, report.target)
         summary = {"within": {str(k): v for k, v in report.within.items()}}
     else:
-        report = run_stable_stability(replace(base, k_pair=tuple(sorted(n)) if n else (10_000, 100_000)))
+        report = run_stable_stability(replace(base, k_pair=tuple(sorted(n))) if n else base)
         header, row = ("k1", "k2", "ks"), (report.k1, report.k2, report.ks)
         summary = {"percentile_99": list(report.percentile_99)}
     summary.update(experiment=which, trials=report.trials, **dict(zip(header, row)))

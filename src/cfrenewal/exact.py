@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 from math import exp, gcd, log
 from typing import Iterable, Iterator, Optional
 
@@ -74,11 +75,6 @@ class MobiusState:
     @classmethod
     def identity(cls) -> "MobiusState":
         return cls(1, 0, 0, 1)
-
-    @classmethod
-    def constant(cls, value: Fraction) -> "MobiusState":
-        """State whose image is the single point ``value`` regardless of the tail."""
-        return cls(0, value.numerator, 0, value.denominator)
 
     def normalize(self) -> None:
         g = gcd(gcd(abs(self.a), abs(self.b)), gcd(abs(self.c), abs(self.d)))
@@ -183,8 +179,8 @@ class LazyReal:
     ``next_digit`` hands the unread bits of the source's block, at most as
     many as the cap still allows, to :meth:`MobiusState.refine` until the
     next digit is determined on the whole image interval, then composes the
-    Gauss step into the state.  The per-digit refinement cap turns
-    measure-zero pathologies into :class:`NonGenericPointError`.
+    Gauss step into the state.  The per-digit refinement cap, at least 1,
+    turns measure-zero pathologies into :class:`NonGenericPointError`.
     ``bits_consumed`` counts every bit absorbed into the state, also when
     ``next_digit`` raises.  The consumed bits themselves are not kept: the
     state alone carries what the digits need.
@@ -198,6 +194,8 @@ class LazyReal:
         refine_cap: int = DEFAULT_REFINE_CAP,
         state: Optional[MobiusState] = None,
     ):
+        if refine_cap < 1:
+            raise ValueError(f"refine_cap must be >= 1, got {refine_cap}")
         self.source = source
         self.state = MobiusState.identity() if state is None else state
         self.refine_cap = refine_cap
@@ -234,28 +232,20 @@ class LazyReal:
         self.digits_emitted += 1
         return m
 
-    def digits(self) -> Iterator[int]:
-        """Infinite digit iterator; stops on :class:`StreamExhausted` only."""
-        while True:
-            try:
-                yield self.next_digit()
-            except StreamExhausted:
-                return
-
 
 class DigitStream:
     """Digit sequence with running sums and lazy extension.
 
     Wraps any digit iterator (certified, rational, sampled, or injected) and
-    memoizes digits a_k and sums S_k = a_1 + ... + a_k, so that fluctuation
-    queries are O(1) after extension.  Each pulled digit is checked to be
-    >= 1 and each sum to stay below 2^63.  Running maxima and other orbit
-    statistics are not kept here: :func:`orbit_records` streams them.
+    memoizes only the sums S_k = a_1 + ... + a_k, S_0 = 0, so fluctuation
+    queries are O(1) after extension; a_k is S_k - S_{k-1}.  The stream ends
+    where the iterator stops or raises :class:`StreamExhausted`; any other
+    error leaves it open.  Each pulled digit must be >= 1 and each sum below
+    2^63.  Orbit statistics are streamed by :func:`orbit_records`, not kept.
     """
 
     def __init__(self, digit_iter: Iterable[int]):
         self._iter = iter(digit_iter)
-        self._digits: list[int] = []
         self._sums: list[int] = [0]
         self.exhausted = False
 
@@ -266,15 +256,12 @@ class DigitStream:
         stream_index: int = 0,
         refine_cap: int = DEFAULT_REFINE_CAP,
     ) -> "DigitStream":
-        return cls(LazyReal(BitSource(master_seed, stream_index), refine_cap).digits())
+        # next_digit never returns None: its StreamExhausted ends the stream in _pull
+        return cls(iter(LazyReal(BitSource(master_seed, stream_index), refine_cap).next_digit, None))
 
     @classmethod
     def constant(cls, digit: int) -> "DigitStream":
-        def forever():
-            while True:
-                yield digit
-
-        return cls(forever())
+        return cls(repeat(digit))
 
     def _pull(self) -> bool:
         if self.exhausted:
@@ -289,34 +276,30 @@ class DigitStream:
         s = self._sums[-1] + a
         if s >= _DIGIT_LIMIT:
             raise DigitOverflowError("digit sum exceeds the 64-bit checked range")
-        self._digits.append(a)
         self._sums.append(s)
         return True
 
     def ensure(self, count: int) -> bool:
         """Extend to at least ``count`` digits; False if the stream ends first."""
-        while len(self._digits) < count:
+        while len(self._sums) - 1 < count:
             if not self._pull():
                 return False
         return True
 
     def __iter__(self) -> Iterator[int]:
-        """a_1, a_2, ...: memoized digits first, then pulled ones, until the stream ends."""
-        k = 0
-        while k < len(self._digits) or self._pull():
-            yield self._digits[k]
+        """a_1, a_2, ...: differences of the memoized sums, then of pulled ones, until the stream ends."""
+        sums = self._sums
+        k = 1
+        while k < len(sums) or self._pull():
+            yield sums[k] - sums[k - 1]
             k += 1
 
     def digit(self, k: int) -> int:
-        """a_k, 1-indexed."""
-        if not self.ensure(k):
-            raise StreamExhausted(f"stream ended before digit {k}")
-        return self._digits[k - 1]
+        """a_k = S_k - S_{k-1}, 1-indexed."""
+        return self.partial_sum(k) - self._sums[k - 1]
 
     def partial_sum(self, k: int) -> int:
         """S_k = a_1 + ... + a_k, with S_0 = 0."""
-        if k == 0:
-            return 0
         if not self.ensure(k):
             raise StreamExhausted(f"stream ended before digit {k}")
         return self._sums[k]

@@ -29,8 +29,7 @@ DEFAULT_PROBES = (0.6, 0.75, 0.9)
 class ClosedFormDensity:
     """Analytic density on [0, 1] with exact pointwise evaluation."""
 
-    def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray]):
-        self.name = name
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self.fn = fn
 
     def __call__(self, x):
@@ -38,18 +37,18 @@ class ClosedFormDensity:
 
     @classmethod
     def one(cls) -> "ClosedFormDensity":
-        return cls("one", lambda x: np.ones_like(x))
+        return cls(lambda x: np.ones_like(x))
 
     @classmethod
     def identity(cls) -> "ClosedFormDensity":
-        return cls("id", lambda x: x)
+        return cls(lambda x: x)
 
     @classmethod
     def power(cls, theta: float) -> "ClosedFormDensity":
         """f(x) = theta * x^theta, normalized so the 1/x-weighted integral is 1."""
         if not 0 < theta <= 1:
             raise ValueError("theta must lie in (0, 1]")
-        return cls(f"power:{theta:g}", lambda x: theta * np.power(x, theta))
+        return cls(lambda x: theta * np.power(x, theta))
 
 
 Density = Union[ClosedFormDensity, "GridFunction", Callable[[np.ndarray], np.ndarray]]
@@ -94,10 +93,8 @@ def farey_mesh(size: int = MESH_SIZE, probes: Sequence[float] = DEFAULT_PROBES) 
     raise RuntimeError(f"could not assemble a {size}-node mesh")
 
 
-def apply_transfer_mu(f: Density, mesh: Optional[np.ndarray] = None) -> GridFunction:
-    """One application of the transfer operator taken with respect to 1/x dx."""
-    if mesh is None:
-        mesh = f.mesh if isinstance(f, GridFunction) else farey_mesh()
+def apply_transfer_mu(f: Density, mesh: np.ndarray) -> GridFunction:
+    """One application of the transfer operator taken with respect to 1/x dx, on the nodes ``mesh``."""
     x = mesh
     vals = (_eval(f, x / (1.0 + x)) + x * _eval(f, 1.0 / (1.0 + x))) / (1.0 + x)
     return GridFunction(mesh, vals)

@@ -85,6 +85,31 @@ def test_bit_balance_is_plausible():
     assert abs(ones / 20_000 - 0.5) < 0.02
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: stream_key(2**64, 0),
+        lambda: stream_key(-1, 0),
+        lambda: stream_key(0, 2**64),
+        lambda: stream_key(0, -1),
+        lambda: stream_keys_np(-1, np.arange(3, dtype=np.uint64)),
+        lambda: stream_keys_np(2**64 + 1, np.arange(3, dtype=np.uint64)),
+        lambda: BitSource(2**64, 0),
+        lambda: BitSource(0, 2**64 + 3),
+    ],
+    ids=["key-seed-2^64", "key-seed--1", "key-index-2^64", "key-index--1", "np-seed--1", "np-seed-2^64+1",
+         "source-seed-2^64", "source-index-2^64+3"],
+)
+def test_keys_outside_64_bits_are_rejected(make):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
+        make()
+
+
+def test_largest_keys_are_accepted():
+    assert stream_key(2**64 - 1, 2**64 - 1) == int(stream_keys_np(2**64 - 1, np.array([2**64 - 1], dtype=np.uint64))[0])
+    assert BitSource(2**64 - 1, 2**64 - 1).next_bits(64) == block64(stream_key(2**64 - 1, 2**64 - 1), 0)
+
+
 def test_numpy_matches_scalar_kernels():
     seeds = np.arange(50, dtype=np.uint64)
     keys = stream_keys_np(77, seeds)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
 
+from cfrenewal import exact
 from cfrenewal.bits import BitSource
 from cfrenewal.exact import (
     DigitStream,
@@ -19,6 +20,15 @@ from cfrenewal.exact import (
     gauss_iteration_oracle,
     orbit_records,
 )
+from cfrenewal.farey import fluctuation
+
+
+class ZeroSource(BitSource):
+    """A bit source that serves only zeros: the point 0, where no digit is ever determined."""
+
+    def pending(self):
+        _, count = super().pending()
+        return 0, count
 
 
 def test_golden_ratio_fixed_point_digits():
@@ -88,7 +98,7 @@ def test_euclid_consistency_with_lazy_constant_states():
         if p == 0 or p == q:
             continue
         euclid = _digits(digits_of_rational(p, q))
-        lazy = LazyReal(BitSource(0, 0), state=MobiusState.constant(Fraction(p, q)))
+        lazy = LazyReal(BitSource(0, 0), state=MobiusState(0, p, 0, q))
         got = []
         try:
             for _ in range(len(euclid)):
@@ -136,6 +146,9 @@ def test_digit_sum_law_exact_integers():
     for k in range(2, 501):
         assert sums[k - 1] - sums[k - 2] == stream.digit(k)
         assert sums[k - 1] >= k
+    # iteration yields the 500 memoized digits, then pulls past them
+    real = LazyReal(BitSource(77, 0))
+    assert list(islice(stream, 600)) == [real.next_digit() for _ in range(600)]
 
 
 def test_digit_sums_reproducible_from_scratch():
@@ -161,14 +174,25 @@ def test_geometric_mean_constants():
 
 
 def test_nongeneric_point_detected_for_all_zero_bits():
-    class ZeroSource(BitSource):
-        def pending(self):
-            _, count = super().pending()
-            return 0, count
-
     real = LazyReal(ZeroSource(0, 0), refine_cap=256)
     with pytest.raises(NonGenericPointError):
         real.next_digit()
+
+
+def test_stream_stays_open_after_a_nongeneric_point(monkeypatch):
+    # a non-generic point is reported on every query, never as the end of the stream
+    monkeypatch.setattr(exact, "BitSource", ZeroSource)
+    stream = DigitStream.from_seed(0, 0, refine_cap=64)
+    for query in (lambda: stream.ensure(1), lambda: stream.ensure(1), lambda: fluctuation(stream, 10)):
+        with pytest.raises(NonGenericPointError):
+            query()
+    assert not stream.exhausted
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_refine_cap_below_one_is_rejected(cap):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        LazyReal(BitSource(1, 0), refine_cap=cap)
 
 
 def test_mobius_state_normalizes_gcd():
@@ -184,7 +208,7 @@ def test_stream_rejects_invalid_digits():
 def test_digit_overflow_is_a_typed_error():
     from cfrenewal.exact import DigitOverflowError
 
-    huge = LazyReal(BitSource(0, 0), state=MobiusState.constant(Fraction(1, 2**63 + 5)))
+    huge = LazyReal(BitSource(0, 0), state=MobiusState(0, 1, 0, 2**63 + 5))
     with pytest.raises(DigitOverflowError):
         huge.next_digit()
     stream = DigitStream([2**63 - 1, 5])
@@ -272,18 +296,18 @@ def test_lazy_real_matches_reference_walk_from_user_states():
         fired += sum(g > 1 for *_, g in ref)
     # the state starts with a and c both even, so normalization has work to do
     assert fired > 0
-    for value in (Fraction(3, 7), Fraction(113, 355), Fraction(1, 2**40 + 1), Fraction(89, 144)):
-        ref = list(_reference_walk(BitSource(1, 0), MobiusState.constant(value), 50))
-        got = list(_lazy_walk(BitSource(1, 0), MobiusState.constant(value), 50))
+    for p, q in ((3, 7), (113, 355), (1, 2**40 + 1), (89, 144)):
+        ref = list(_reference_walk(BitSource(1, 0), MobiusState(0, p, 0, q), 50))
+        got = list(_lazy_walk(BitSource(1, 0), MobiusState(0, p, 0, q), 50))
         assert got == [row[:3] for row in ref]
-        assert [row[0] for row in got] == _digits(digits_of_rational(value.numerator, value.denominator))
+        assert [row[0] for row in got] == _digits(digits_of_rational(p, q))
 
 
 @pytest.mark.parametrize("cap", [1, 63, 64, 65, 512])
 def test_block_refinement_matches_reference_walk(cap):
     # the identity, the R = 1 start law and a constant, from a fresh source
     # and from one that has served 37 bits one at a time (mid-block)
-    starts = (MobiusState.identity, lambda: MobiusState(1, 0, -1, 2), lambda: MobiusState.constant(Fraction(113, 355)))
+    starts = (MobiusState.identity, lambda: MobiusState(1, 0, -1, 2), lambda: MobiusState(0, 113, 0, 355))
     for make in starts:
         for served in (0, 37):
             for seed in range(8):

@@ -63,6 +63,22 @@ def test_diamond_vaaler_rejects_checkpoints_below_two():
         run_diamond_vaaler(ExperimentConfig(checkpoints=(1, 10)))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+@pytest.mark.parametrize(
+    "run",
+    [
+        fluctuation_samples,
+        lambda cfg: fluctuation_samples(replace(cfg, digit_source="exact")),
+        lambda cfg: run_khinchin(replace(cfg, checkpoints=(10,))),
+    ],
+    ids=["sampled", "exact", "khinchin"],
+)
+def test_seed_outside_64_bits_is_rejected(run, seed):
+    # the mixer reduces seeds mod 2^64: 2^64 + 1 would rerun seed 1's streams
+    with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\^64\)"):
+        run(ExperimentConfig(master_seed=seed, trials=5, horizons=(100,)))
+
+
 def test_runs_are_pure_functions_of_config():
     cfg = ExperimentConfig(master_seed=8, trials=3000, horizons=(500, 5000))
     a = run_uniform_law(cfg)

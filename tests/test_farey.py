@@ -9,7 +9,7 @@ from math import gcd, log
 import pytest
 
 from cfrenewal.bits import BitSource
-from cfrenewal.exact import DigitStream
+from cfrenewal.exact import DigitStream, StreamExhausted
 from cfrenewal.farey import (
     _LY_LEFT,
     _LY_RIGHT,
@@ -63,11 +63,8 @@ def test_verify_induced_map_examples():
         try:
             assert verify_induced_map(x, 8)
             checked += 1
-        except Exception as exc:
-            from cfrenewal.exact import StreamExhausted
-
-            if not isinstance(exc, StreamExhausted):
-                raise
+        except StreamExhausted:
+            pass
     assert checked > 300
 
 
@@ -81,6 +78,10 @@ def test_fluctuation_examples():
     assert rec4.X_n == 2 and rec4.gap == 2
     rec5 = fluctuation(s, 5)
     assert rec5.X_n == 5 and rec5.gap == 0
+    # a horizon past the last sum ends the stream; smaller ones are answered from the memo
+    with pytest.raises(StreamExhausted, match="all sums <= 200"):
+        fluctuation(s, 200)
+    assert s.exhausted and fluctuation(s, 4) == rec4
 
     big_first = DigitStream([10, 1])
     rec9 = fluctuation(big_first, 9)

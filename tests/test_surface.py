@@ -3,8 +3,11 @@
 A top-level function or class of ``src/cfrenewal/*.py``, or a method of such
 a class, must be named somewhere in the package, the benchmarks, the tools or
 the acceptance criteria: as an ``ast.Name``, an ``ast.Attribute``, an import,
-or an identifier-shaped string (the benchmark tracer patches by name).  Unit
-tests do not count, so code that only its own tests reach shows up here.
+or an identifier-shaped string (the benchmark tracer patches by name).  A
+classmethod or staticmethod whose name another class also defines counts
+only as ``Class.method``: a bare ``constant`` would let ``DigitStream.constant``
+hide an unused ``MobiusState.constant``.  Unit tests do not count, so code
+that only its own tests reach shows up here.
 Names Python calls implicitly (``__init__``, ``__call__``, ...) are exempt.
 
 The rest must be on ``KEEP`` with a reason: ``reference`` for an oracle that
@@ -35,8 +38,9 @@ KEEP = {
 
 
 def _definitions() -> dict[str, str]:
-    """``module.name`` and ``module.Class.method`` of the package, mapped to the bare name."""
+    """``module.name`` and ``module.Class.method`` of the package, mapped to the name a use must have."""
     defs = {}
+    methods: dict[str, list] = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -45,6 +49,11 @@ def _definitions() -> dict[str, str]:
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef):
                         defs[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
+                        methods.setdefault(sub.name, []).append((path.stem, node.name, sub))
+    for name, owners in methods.items():
+        for module, cls, fn in owners if len(owners) > 1 else ():
+            if any(isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod") for d in fn.decorator_list):
+                defs[f"{module}.{cls}.{name}"] = f"{cls}.{name}"
     return defs
 
 
@@ -62,6 +71,10 @@ def _used_names() -> set[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                # the class a qualified use names: ``Class.method`` or ``module.Class.method``
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                if owner:
+                    used.add(f"{owner}.{node.attr}")
             elif isinstance(node, ast.alias):
                 used.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
