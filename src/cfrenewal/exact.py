@@ -296,10 +296,14 @@ class DigitStream:
 
     def digit(self, k: int) -> int:
         """a_k = S_k - S_{k-1}, 1-indexed."""
+        if k < 1:
+            raise ValueError(f"digits are numbered from 1, got {k}")
         return self.partial_sum(k) - self._sums[k - 1]
 
     def partial_sum(self, k: int) -> int:
         """S_k = a_1 + ... + a_k, with S_0 = 0."""
+        if k < 0:
+            raise ValueError(f"partial sums are numbered from 0, got {k}")
         if not self.ensure(k):
             raise StreamExhausted(f"stream ended before digit {k}")
         return self._sums[k]

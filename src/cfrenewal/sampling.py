@@ -29,11 +29,12 @@ A single orbit, :func:`sampled_digits`, runs the scalar chain with its
 uniforms drawn in contiguous blocks of 1, 2, 4, ... up to ``_CHUNK``, so a
 caller that takes one digit draws one uniform; stepping it as one lane of a
 vectorized scan costs about 40 times as much per digit.  Lanes serve many trials: the
-vectorized scans run one trial per lane at a time, in place on
-:class:`~cfrenewal.bits.UniformLanes`: ``_DigitLanes`` steps the digit chain
-and ``_RunLanes`` the Lasota-Yorke run chain, each with the scalar sampler's
-operations in its order, so a lane reproduces its trial's scalar chain
-exactly, whatever the other lanes hold.  Both chains answer the same
+vectorized scans run one trial per lane at a time, drawing from
+:class:`~cfrenewal.bits.UniformLanes`.  Two step functions advance every
+lane's chain in place, ``_digit_step`` the digit chain and ``_run_step``
+the Lasota-Yorke run chain, each with the scalar sampler's operations in
+its order, so a lane reproduces its trial's scalar chain exactly, whatever
+the other lanes hold.  Both chains answer the same
 question, the last partial sum at or below each horizon, on one crossing
 scan, ``_last_sums``.  A serial run hands it all of its trials, and it scans
 them on one pool of at most ``_LANES`` lanes, ``_BLOCK`` = 16 steps at a
@@ -62,7 +63,7 @@ visit is at time run_1), and -1 is left where no visit reaches a horizon.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,88 +93,53 @@ def sampled_digits(master_seed: int, stream_index: int) -> Iterator[int]:
         size = min(2 * size, _CHUNK)
 
 
-class _Lanes:
-    """One sampled chain per lane, each lane running one trial of ``master_seed``.
+def _digit_step(r: np.ndarray, v: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """One digit per lane of the chain r -> 1/(a + r), as :func:`sampled_digits` draws it.
 
-    ``state`` is the chain's parameter, 0 at a trial's start; a subclass's
-    ``step(v)`` turns every lane's uniform ``v``, one row of a
-    ``uniforms.draw`` block, into its next increment as an integer-valued
-    double in ``f``.  Buffers are allocated once; :meth:`keep` drops retired
-    lanes and :meth:`restart` starts new trials on them, both between draws.
+    Each lane's uniform in ``v`` gives its digit, written as a float into
+    ``f`` and returned; ``r`` steps in place.  ``g`` is unused, so both
+    steps take the same arrays.
     """
-
-    __slots__ = ("master_seed", "uniforms", "state", "f")
-
-    def __init__(self, master_seed: int, trial_indices: np.ndarray):
-        trials = np.asarray(trial_indices, dtype=np.uint64)
-        self.master_seed = master_seed
-        self.uniforms = UniformLanes(stream_keys_np(master_seed, trials))
-        n = len(trials)
-        self.state = np.zeros(n, dtype=np.float64)
-        self.f = np.empty(n, dtype=np.float64)
-
-    def keep(self, live: np.ndarray) -> None:
-        self.uniforms.keep(live)
-        self.state = self.state[live]
-        self.f = self.f[: len(self.state)]
-
-    def restart(self, slots: np.ndarray, trial_indices: np.ndarray) -> None:
-        """Start trials ``trial_indices`` on the lanes ``slots``, from the chain's start."""
-        self.uniforms.restart(slots, stream_keys_np(self.master_seed, trial_indices))
-        self.state[slots] = 0.0
+    # f = floor((1 + r (1 - v)) / v), evaluated in the scalar sampler's order
+    np.subtract(1.0, v, out=f)
+    np.multiply(r, f, out=f)
+    np.add(1.0, f, out=f)
+    np.divide(f, v, out=f)
+    np.floor(f, out=f)
+    # r = 1/(a + r); f < 2^55 is an integer, so f + r rounds as a + r does
+    np.add(f, r, out=r)
+    np.divide(1.0, r, out=r)
+    return f
 
 
-class _DigitLanes(_Lanes):
-    """The digit chain r -> 1/(a + r); each step is one digit, as :func:`sampled_digits` draws it."""
+def _run_step(s: np.ndarray, v: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """One Lasota-Yorke laminar run per lane, and the visit that ends it, from its uniform in ``v``.
 
-    __slots__ = ()
-
-    def step(self, v: np.ndarray) -> np.ndarray:
-        """One digit per lane from its uniform in ``v``; returns it as a float in ``f``.
-
-        ``f`` is overwritten by the next step.
-        """
-        r, f = self.state, self.f
-        # f = floor((1 + r (1 - v)) / v), evaluated in the scalar sampler's order
-        np.subtract(1.0, v, out=f)
-        np.multiply(r, f, out=f)
-        np.add(1.0, f, out=f)
-        np.divide(f, v, out=f)
-        np.floor(f, out=f)
-        # r = 1/(a + r); f < 2^55 is an integer, so f + r rounds as a + r does
-        np.add(f, r, out=r)
-        np.divide(1.0, r, out=r)
-        return f
+    Returns the gaps ``run + 1`` as floats in ``f``; ``s`` steps in place
+    and ``g`` is scratch.
+    """
+    # run = floor((1 + s) (1 - v) / v), evaluated in this order
+    np.add(1.0, s, out=f)
+    np.subtract(1.0, v, out=g)
+    np.multiply(f, g, out=f)
+    np.divide(f, v, out=f)
+    np.floor(f, out=f)
+    # s = (s + run)/(s + run + 2)
+    np.add(s, f, out=s)
+    np.add(s, 2.0, out=g)
+    np.divide(s, g, out=s)
+    np.add(f, 1.0, out=f)
+    return f
 
 
-class _RunLanes(_Lanes):
-    """The Lasota-Yorke run chain s; each step is one laminar run and the visit that ends it."""
-
-    __slots__ = ("g",)
-
-    def __init__(self, master_seed: int, trial_indices: np.ndarray):
-        super().__init__(master_seed, trial_indices)
-        self.g = np.empty(len(self.f), dtype=np.float64)
-
-    def keep(self, live: np.ndarray) -> None:
-        super().keep(live)
-        self.g = self.g[: len(self.f)]
-
-    def step(self, v: np.ndarray) -> np.ndarray:
-        """One run per lane from its uniform in ``v``; returns the gaps ``run + 1`` as floats in ``f``."""
-        s, f, g = self.state, self.f, self.g
-        # run = floor((1 + s) (1 - v) / v), evaluated in this order
-        np.add(1.0, s, out=f)
-        np.subtract(1.0, v, out=g)
-        np.multiply(f, g, out=f)
-        np.divide(f, v, out=f)
-        np.floor(f, out=f)
-        # s = (s + run)/(s + run + 2)
-        np.add(s, f, out=s)
-        np.add(s, 2.0, out=g)
-        np.divide(s, g, out=s)
-        np.add(f, 1.0, out=f)
-        return f
+def _trials(trial_indices: np.ndarray) -> np.ndarray:
+    """``trial_indices`` as a uint64 array; negative or non-integer indices would alias other streams."""
+    arr = np.asarray(trial_indices)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"trial indices must be an integer array, got dtype {arr.dtype}")
+    if arr.dtype.kind == "i" and arr.size and arr.min() < 0:
+        raise ValueError("trial indices must lie in [0, 2^64)")
+    return arr.astype(np.uint64, copy=False)
 
 
 def _increasing(values: Sequence[int], what: str) -> np.ndarray:
@@ -188,12 +154,15 @@ def _increasing(values: Sequence[int], what: str) -> np.ndarray:
 
 
 def _last_sums(
-    lane_cls: type[_Lanes], master_seed: int, trial_indices: np.ndarray, start: int, horizons: Sequence[int]
+    step: Callable[..., np.ndarray], master_seed: int, trial_indices: np.ndarray, start: int, horizons: Sequence[int]
 ) -> np.ndarray:
     """max{S_k <= h} for every trial and horizon h: S_0 = start, S_k adds step k.
 
-    The trials run on one pool of at most ``_LANES`` lanes of ``lane_cls``,
-    stepped ``_BLOCK`` steps at a time.  Row j of a block's history holds
+    ``step`` is :func:`_digit_step` or :func:`_run_step`.  The trials run
+    on one pool of at most ``_LANES`` lanes, each holding one trial's
+    stream, chain state (0 at the trial's start) and sum, stepped
+    ``_BLOCK`` steps at a time.  This function alone restarts and compacts
+    lanes, all of their arrays at once.  Row j of a block's history holds
     every lane's sum after j of its steps, row 0 the sums it started from;
     for j a multiple of ``_ROWS``, rows j+1 .. j+``_ROWS`` first hold the
     uniforms of those steps, drawn at once.
@@ -211,11 +180,13 @@ def _last_sums(
     hz = _increasing(horizons, "horizons")
     if hz[-1] >= _MAX_HORIZON:
         raise ValueError(f"horizons must be below 2^53 = {_MAX_HORIZON}")
-    trials = np.asarray(trial_indices, dtype=np.uint64)
+    trials = _trials(trial_indices)
     n_t, n_h = len(trials), len(hz)
     x_out = np.zeros((n_t, n_h), dtype=np.int64)
     n = min(n_t, _LANES)
-    lanes = lane_cls(master_seed, trials[:n])
+    uniforms = UniformLanes(stream_keys_np(master_seed, trials[:n]))
+    state = np.zeros(n)  # each lane's chain parameter
+    f, g = np.empty(n), np.empty(n)  # the step's output and scratch
 
     # retired lanes wait for the horizon +inf, which no sum passes
     hz_ext = np.append(hz.astype(np.float64), np.inf)
@@ -231,9 +202,9 @@ def _last_sums(
     while n_live:
         for j0 in range(0, _BLOCK, _ROWS):
             # the next _ROWS steps' uniforms fill the history rows their sums then overwrite
-            lanes.uniforms.draw(hist[j0 + 1 : j0 + 1 + _ROWS])
+            uniforms.draw(hist[j0 + 1 : j0 + 1 + _ROWS])
             for j in range(j0, j0 + _ROWS):
-                np.add(hist[j], lanes.step(hist[j + 1]), out=hist[j + 1])
+                np.add(hist[j], step(state, hist[j + 1], f, g), out=hist[j + 1])
         last = hist[_BLOCK]
         w = np.flatnonzero(last > thr)
         if len(w):
@@ -254,7 +225,8 @@ def _last_sums(
                 if pending < n_t:
                     slots = np.flatnonzero(~live)[: n_t - pending]
                     new = np.arange(pending, pending + len(slots))
-                    lanes.restart(slots, trials[new])
+                    uniforms.restart(slots, stream_keys_np(master_seed, trials[new]))
+                    state[slots] = 0.0
                     idx[slots] = new
                     last[slots] = start
                     next_h[slots] = 0
@@ -262,7 +234,8 @@ def _last_sums(
                     pending += len(slots)
                     n_live += len(slots)
                 elif n_live:
-                    lanes.keep(live)
+                    uniforms.keep(live)
+                    state, f, g = state[live], f[:n_live], g[:n_live]
                     idx = idx[live]
                     next_h = next_h[live]
                     thr = thr[live]
@@ -284,7 +257,7 @@ def digit_sum_crossings(
     an int64 array of shape (trials, len(horizons)); horizons must be
     strictly increasing and below 2^53.
     """
-    return _last_sums(_DigitLanes, master_seed, trial_indices, 0, horizons)
+    return _last_sums(_digit_step, master_seed, trial_indices, 0, horizons)
 
 
 def digit_sums_at(
@@ -298,21 +271,24 @@ def digit_sums_at(
     must be strictly increasing.
     """
     cps = _increasing(checkpoints, "checkpoints")
-    trials = np.asarray(trial_indices, dtype=np.uint64)
+    trials = _trials(trial_indices)
     out = np.zeros((len(trials), len(cps)), dtype=np.int64)
     # no lane retires early, so the trials run in lockstep blocks of _LANES lanes
     for lo in range(0, len(trials), _LANES):
-        lanes = _DigitLanes(master_seed, trials[lo : lo + _LANES])
-        s = np.zeros(len(lanes.state), dtype=np.int64)
+        block = trials[lo : lo + _LANES]
+        uniforms = UniformLanes(stream_keys_np(master_seed, block))
+        n = len(block)
+        r, f, g = np.zeros(n), np.empty(n), np.empty(n)
+        s = np.zeros(n, dtype=np.int64)
         a = np.empty_like(s)
-        v = np.empty((_ROWS, len(s)))
+        v = np.empty((_ROWS, n))
         k = 0
         for j, cp in enumerate(cps.tolist()):
             while k < cp:
                 if k % _ROWS == 0:
-                    lanes.uniforms.draw(v)
+                    uniforms.draw(v)
                 # exact int64 sums: the float digits are copied into int64 before the add
-                np.copyto(a, lanes.step(v[k % _ROWS]), casting="unsafe")
+                np.copyto(a, _digit_step(r, v[k % _ROWS], f, g), casting="unsafe")
                 np.add(s, a, out=s)
                 k += 1
             out[lo : lo + len(s), j] = s
@@ -333,4 +309,4 @@ def ly_last_visits(
     time not exceeding each horizon, or -1 when the orbit has not visited
     by then; horizons must be strictly increasing and below 2^53.
     """
-    return _last_sums(_RunLanes, master_seed, trial_indices, -1, horizons)
+    return _last_sums(_run_step, master_seed, trial_indices, -1, horizons)

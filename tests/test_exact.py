@@ -205,6 +205,21 @@ def test_stream_rejects_invalid_digits():
         DigitStream([0]).digit(1)
 
 
+def test_stream_rejects_indices_before_the_first_digit():
+    # digits are numbered from 1 and sums from S_0, before and after the memo fills
+    stream = DigitStream([2, 3])
+    for pulled in (False, True):
+        if pulled:
+            assert stream.ensure(2)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="numbered from 1"):
+                stream.digit(k)
+        with pytest.raises(ValueError, match="numbered from 0"):
+            stream.partial_sum(-1)
+    assert [stream.partial_sum(k) for k in range(3)] == [0, 2, 5]
+    assert [stream.digit(k) for k in (1, 2)] == [2, 3]
+
+
 def test_digit_overflow_is_a_typed_error():
     from cfrenewal.exact import DigitOverflowError
 

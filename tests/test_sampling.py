@@ -68,13 +68,13 @@ def test_crossings_equal_scalar_walk_through_compaction(monkeypatch):
     horizons = (5, 50, 500, 5000)
     trials = 400
     kept = []
-    keep = sampling._DigitLanes.keep
+    keep = sampling.UniformLanes.keep
 
-    def counting_keep(lanes, live):
+    def counting_keep(uniforms, live):
         kept.append(len(live))
-        keep(lanes, live)
+        keep(uniforms, live)
 
-    monkeypatch.setattr(sampling._DigitLanes, "keep", counting_keep)
+    monkeypatch.setattr(sampling.UniformLanes, "keep", counting_keep)
     x = digit_sum_crossings(17, np.arange(trials, dtype=np.uint64), horizons)
     assert len(kept) >= 3 and kept[0] == trials
     for t in range(trials):
@@ -110,13 +110,13 @@ def test_ly_last_visits_equal_scalar_walk_through_compaction(monkeypatch):
     horizons = (5, 50, 500, 5000)
     trials = 400
     kept = []
-    keep = sampling._RunLanes.keep
+    keep = sampling.UniformLanes.keep
 
-    def counting_keep(lanes, live):
+    def counting_keep(uniforms, live):
         kept.append(len(live))
-        keep(lanes, live)
+        keep(uniforms, live)
 
-    monkeypatch.setattr(sampling._RunLanes, "keep", counting_keep)
+    monkeypatch.setattr(sampling.UniformLanes, "keep", counting_keep)
     last = ly_last_visits(17, np.arange(trials, dtype=np.uint64), horizons)
     assert len(kept) >= 3 and kept[0] == trials
     for t in range(trials):
@@ -129,22 +129,24 @@ def test_refilled_lanes_equal_scalar_walk(monkeypatch):
     monkeypatch.setattr(sampling, "_LANES", 64)
     horizons = (5, 50, 500, 5000)
     trials = np.arange(1000, dtype=np.uint64)
-    for lane_cls, run, scalar in (
-        (sampling._DigitLanes, digit_sum_crossings, _scalar_crossings),
-        (sampling._RunLanes, ly_last_visits, _scalar_last_visits),
+    lane_methods = {name: getattr(sampling.UniformLanes, name) for name in ("restart", "keep")}
+    for step, run, scalar in (
+        ("_digit_step", digit_sum_crossings, _scalar_crossings),
+        ("_run_step", ly_last_visits, _scalar_last_visits),
     ):
         calls = {"step": 0, "restart": 0, "keep": 0}
         at_steps = []
-        for name in calls:
-            method = getattr(lane_cls, name)
+        wrapped = [(sampling, step, "step", getattr(sampling, step))]
+        wrapped += [(sampling.UniformLanes, name, name, method) for name, method in lane_methods.items()]
+        for owner, attr, name, fn in wrapped:
 
-            def counting(lanes, *args, _name=name, _method=method):
+            def counting(*args, _name=name, _fn=fn):
                 calls[_name] += 1
                 if _name != "step":
                     at_steps.append(calls["step"])
-                return _method(lanes, *args)
+                return _fn(*args)
 
-            monkeypatch.setattr(lane_cls, name, counting)
+            monkeypatch.setattr(owner, attr, counting)
         out = run(19, trials, horizons)
         assert calls["restart"] >= 3 and calls["keep"] >= 3
         assert all(k % sampling._BLOCK == 0 for k in at_steps + [calls["step"]])
@@ -341,3 +343,30 @@ def test_crossings_reject_bad_horizons():
     for run in (digit_sum_crossings, digit_sums_at, ly_last_visits):
         with pytest.raises(ValueError, match="below 2\\^63"):
             run(1, np.arange(3, dtype=np.uint64), [10, 2**63])
+
+
+@pytest.mark.parametrize("run", [digit_sum_crossings, digit_sums_at, ly_last_visits])
+def test_samplers_reject_trial_indices_that_alias_other_streams(run):
+    # -1 would wrap to the stream of 2^64 - 1, and 2^64 - 1 as a float rounds to 2^64
+    for trials in (np.array([-1, 0]), [5, -3], np.array([0.0, 1.0]), [2**64 - 1, 0], np.array([True])):
+        with pytest.raises(ValueError, match="trial indices"):
+            run(1, trials, (100,))
+
+
+def test_samplers_accept_the_largest_trial_index():
+    top = 2**64 - 1
+    trials = np.array([top, 0], dtype=np.uint64)
+    horizons = (5, 50, 500)
+    assert digit_sum_crossings(1, trials, horizons).tolist() == [
+        _scalar_crossings(1, t, horizons) for t in (top, 0)
+    ]
+    assert ly_last_visits(1, trials, horizons).tolist() == [
+        _scalar_last_visits(1, t, horizons) for t in (top, 0)
+    ]
+    sums = digit_sums_at(1, trials, (1, 7))
+    for row, t in zip(sums.tolist(), (top, 0)):
+        digs = list(islice(sampled_digits(1, t), 7))
+        assert row == [digs[0], sum(digs)]
+    # a list of Python ints below 2^63 is an int64 array and runs the same trials
+    as_uint64 = digit_sum_crossings(1, np.array([3, 0], dtype=np.uint64), horizons)
+    assert np.array_equal(digit_sum_crossings(1, [3, 0], horizons), as_uint64)
