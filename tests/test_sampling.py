@@ -149,6 +149,7 @@ def test_refilled_lanes_equal_scalar_walk(monkeypatch):
             monkeypatch.setattr(owner, attr, counting)
         out = run(19, trials, horizons)
         assert calls["restart"] >= 3 and calls["keep"] >= 3
+        assert calls["step"] > 0  # the patched step function is the one that ran
         assert all(k % sampling._BLOCK == 0 for k in at_steps + [calls["step"]])
         for t in range(len(trials)):
             assert out[t].tolist() == scalar(19, t, horizons)
