@@ -110,9 +110,18 @@ def _uniforms_from_blocks_np(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def stream_keys_np(master_seed: int, stream_indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`stream_key` over a uint64 array of stream indices."""
+    """Vectorized :func:`stream_key` over an integer array of stream indices.
+
+    A negative, float or bool index would be cast onto another stream's
+    index, so only integer dtypes with values in [0, 2^64) are accepted.
+    """
     _check_key("master_seed", master_seed)
-    idx = stream_indices.astype(np.uint64)
+    idx = np.asarray(stream_indices)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"stream indices must be an integer array, got dtype {idx.dtype}")
+    if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
+        raise ValueError("stream indices must lie in [0, 2^64)")
+    idx = idx.astype(np.uint64)
     seed_mixed = np.uint64(mix64(master_seed))
     return mix64_np(seed_mixed ^ ((idx + _NP_ONE) * _NP_GOLDEN))
 

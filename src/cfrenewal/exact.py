@@ -12,8 +12,9 @@ the Gauss step maps it to ``(c - m*a, a)``, so ``gcd(a, c)`` never changes;
 and absorbing bits into a state whose entries share no factor can create
 only a power of 2 as a new common factor, and only when ``a`` and ``c`` are
 both even.  The Gauss step therefore normalizes just in that case.  A real
-started from the identity keeps ``gcd(a, c) = 1`` and never normalizes:
-after B bits its entries share no factor and ``|ad - bc| = 2^B``.
+started from the identity that only absorbs bits and emits digits keeps
+``gcd(a, c) = 1`` and never normalizes: after B bits its entries share no
+factor and ``|ad - bc| = 2^B``.
 
 Bits are absorbed a block at a time: :meth:`MobiusState.refine` runs one loop
 over the unread bits of the source's current 64-bit block and stops at the
@@ -155,9 +156,12 @@ class MobiusState:
         on [0, 1].  Like :meth:`emit` this normalizes only when ``a`` and
         ``c`` are both even.  That finds every common factor while
         ``|ad - bc|`` is a power of 2, as for a state started from the
-        identity that absorbs bits and composes maps of determinant +-1 or
-        +-2: a common factor g has g^2 dividing the determinant, so it is a
-        power of 2 and ``a`` and ``c`` are even.
+        identity that absorbs bits, emits digits (determinant -1) and
+        composes maps of determinant +-1 or +-2: a common factor g has g^2
+        dividing the determinant, so it is a power of 2 and ``a`` and ``c``
+        are even.  The one map composed in the package is the Lasota-Yorke
+        return x -> (1 - x)/(1 + x), ``(-1, 1, 1, 1)`` of determinant -2,
+        after each digit of :func:`cfrenewal.farey.ly_orbit`.
         """
         al, be, ga, de = m
         a, b, c, d = self.a, self.b, self.c, self.d

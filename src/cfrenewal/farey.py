@@ -6,7 +6,8 @@ map.  The fluctuation process X_n (largest digit sum not exceeding n) equals
 1 + Z_{n-1} in terms of the renewal process of visits to A1, which lets all
 renewal quantities be computed from digits alone.  The Lasota-Yorke
 comparison map (same left branch, doubling right branch, A = (1/2, 1]) is
-driven through the same orbit machinery.
+read off digits too: :func:`ly_orbit` streams the gaps between its visits
+from one certified digit engine, and :func:`renewal_trace` serves both maps.
 """
 
 from __future__ import annotations
@@ -14,23 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
-from typing import Sequence
+from typing import Iterator
 
 from .bits import BitSource
 from .exact import (
     DEFAULT_REFINE_CAP,
     DigitStream,
-    MobiusState,
+    LazyReal,
     NonGenericPointError,
     StreamExhausted,
 )
 
-# branch matrices acting on the current iterate, as rows (num, den) of
-# (alpha*x + beta)/(gamma*x + delta)
-_FAREY_LEFT = (1, 0, -1, 1)  # x / (1 - x)
-_FAREY_RIGHT = (-1, 1, 1, 0)  # 1/x - 1
-_LY_LEFT = (1, 0, -1, 1)  # x / (1 - x)
-_LY_RIGHT = (2, -1, 0, 1)  # 2x - 1
+# x -> (1 - x)/(1 + x), as a row (alpha, beta, gamma, delta) of
+# (alpha*x + beta)/(gamma*x + delta): the Lasota-Yorke visit 1/(1 + G), G the
+# Gauss image, taken by the doubling branch 2x - 1 to (1 - G)/(1 + G)
+_LY_RETURN = (-1, 1, 1, 1)
 
 # verify_induced_map_seeded: bits of the materialized point, and the left-run
 # length beyond which a run collapses through the closed form
@@ -62,67 +61,6 @@ class FluctuationRecord:
     X_n: int
     gap: int
     scaled: float
-
-
-class LazyOrbit:
-    """Lazily refined orbit of a bit-stream point under a two-branch Mobius map.
-
-    The state maps the unread tail of the source to the current iterate.
-    Branches are decided by comparing the exact image interval against 1/2,
-    absorbing bits until the comparison resolves; hitting the refinement cap
-    raises :class:`NonGenericPointError` (branch boundary).  Both maps'
-    branches have determinant +-1 or 2, so :meth:`MobiusState.compose`
-    keeps the state free of common factors by its parity rule alone.
-    """
-
-    __slots__ = ("source", "state", "refine_cap", "left", "right", "time", "bits_consumed")
-
-    def __init__(
-        self,
-        source: BitSource,
-        left: tuple[int, int, int, int] = _FAREY_LEFT,
-        right: tuple[int, int, int, int] = _FAREY_RIGHT,
-        refine_cap: int = DEFAULT_REFINE_CAP,
-    ):
-        self.source = source
-        self.state = MobiusState.identity()
-        self.refine_cap = refine_cap
-        self.left = left
-        self.right = right
-        self.time = 0
-        self.bits_consumed = 0
-
-    def _resolve_branch(self) -> bool:
-        """True for the right branch (current iterate > 1/2)."""
-        st = self.state
-        absorbed = 0
-        while True:
-            # interval endpoints b/d and (a+b)/(c+d) vs 1/2, exact
-            lo_right = 2 * st.b > st.d
-            hi_right = 2 * (st.a + st.b) > (st.c + st.d)
-            if lo_right and hi_right:
-                return True
-            if not lo_right and not hi_right:
-                # both endpoints <= 1/2; right-open at 1/2 so this is the left branch
-                return False
-            if absorbed >= self.refine_cap:
-                raise NonGenericPointError(
-                    f"branch undetermined at time {self.time} after {absorbed} bits"
-                )
-            st.absorb(self.source.next_bit())
-            absorbed += 1
-            self.bits_consumed += 1
-
-    def step(self) -> bool:
-        """Advance one step; returns True when the step used the right branch."""
-        right = self._resolve_branch()
-        self.state.compose(self.right if right else self.left)
-        self.time += 1
-        return right
-
-    def in_A1(self) -> bool:
-        """Membership of the current iterate in (1/2, 1], refined as needed."""
-        return self._resolve_branch()
 
 
 def _require_unit_interval(x: Fraction) -> None:
@@ -241,11 +179,13 @@ def fluctuation(stream: DigitStream, n: int) -> FluctuationRecord:
 
 
 def renewal_trace(stream: DigitStream, n: int) -> RenewalTrace:
-    """Renewal quantities for the Farey system with target set A1, from digits.
+    """Renewal quantities up to time n, with visits at -1 plus the partial sums of ``stream``.
 
-    The return-time sequence is read off the digits: an orbit starting in A1
-    (first digit 1) returns after a_2, a_3, ...; an orbit starting outside
-    first enters after a_1 - 1 steps and then returns after a_2, a_3, ...
+    For the Farey system with target set A1 the gaps are the digits: an
+    orbit starting in A1 (first digit 1) returns after a_2, a_3, ...; an
+    orbit starting outside first enters after a_1 - 1 steps and then returns
+    after a_2, a_3, ...  For the Lasota-Yorke map they are the gaps that
+    :func:`ly_orbit` streams.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -257,18 +197,6 @@ def renewal_trace(stream: DigitStream, n: int) -> RenewalTrace:
         if t > n:
             break
         visits.append(t)
-    return _trace_from_visits(visits, n)
-
-
-def kac_process(sigma_n: int, n: int) -> float:
-    """Normalized spent time log(sigma + 2)/log(n + 2)."""
-    if not 0 <= sigma_n <= n:
-        raise ValueError("need 0 <= sigma_n <= n")
-    return log(sigma_n + 2) / log(n + 2)
-
-
-def _trace_from_visits(visits: Sequence[int], n: int) -> RenewalTrace:
-    """Assemble a RenewalTrace from the sorted visit times within [0, n]."""
     if not visits:
         return RenewalTrace(n, (), (), 0, 0, n, False)
     sums = tuple(t for t in visits if t)  # a visit at time 0 starts the clock but is not a return
@@ -284,30 +212,27 @@ def _trace_from_visits(visits: Sequence[int], n: int) -> RenewalTrace:
     )
 
 
-def ly_spent_time(x: LazyOrbit, n: int) -> RenewalTrace:
-    """Lasota-Yorke orbit up to time n, recording visits to A = (1/2, 1].
+def kac_process(sigma_n: int, n: int) -> float:
+    """Normalized spent time log(sigma + 2)/log(n + 2)."""
+    if not 0 <= sigma_n <= n:
+        raise ValueError("need 0 <= sigma_n <= n")
+    return log(sigma_n + 2) / log(n + 2)
 
-    ``x`` is a :class:`LazyOrbit` at time 0, built with :func:`ly_orbit`.
+
+def ly_orbit(master_seed: int, stream_index: int, refine_cap: int = DEFAULT_REFINE_CAP) -> DigitStream:
+    """Certified gaps between the visits to A = (1/2, 1] of a seeded point's Lasota-Yorke orbit.
+
+    The left branch takes x to 1/(1 + G(x)) in A after a_1(x) - 1 steps, G
+    the Gauss map, and the doubling branch takes that visit to
+    (1 - G)/(1 + G).  So the gaps are the digits of one :class:`LazyReal`
+    that composes ``_LY_RETURN`` into its state after each digit, and
+    ``renewal_trace(ly_orbit(s, t), n)`` is the orbit's trace up to time n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if x.time != 0:
-        raise ValueError("orbit must start at time 0")
-    visits: list[int] = []
-    for t in range(n):
-        if x.step():
-            visits.append(t)
-    if x.in_A1():
-        visits.append(n)
-    return _trace_from_visits(visits, n)
+    real = LazyReal(BitSource(master_seed, stream_index), refine_cap)
 
+    def gaps() -> Iterator[int]:
+        while True:
+            yield real.next_digit()
+            real.state.compose(_LY_RETURN)
 
-def farey_orbit(master_seed: int, stream_index: int, refine_cap: int = DEFAULT_REFINE_CAP) -> LazyOrbit:
-    """Lazily refined Farey orbit of a seeded random point."""
-    return LazyOrbit(BitSource(master_seed, stream_index), _FAREY_LEFT, _FAREY_RIGHT, refine_cap)
-
-
-def ly_orbit(master_seed: int, stream_index: int, refine_cap: int = DEFAULT_REFINE_CAP) -> LazyOrbit:
-    """Lazily refined Lasota-Yorke orbit of a seeded random point."""
-    return LazyOrbit(BitSource(master_seed, stream_index), _LY_LEFT, _LY_RIGHT, refine_cap)
-
+    return DigitStream(gaps())

@@ -132,16 +132,6 @@ def _run_step(s: np.ndarray, v: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.
     return f
 
 
-def _trials(trial_indices: np.ndarray) -> np.ndarray:
-    """``trial_indices`` as a uint64 array; negative or non-integer indices would alias other streams."""
-    arr = np.asarray(trial_indices)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"trial indices must be an integer array, got dtype {arr.dtype}")
-    if arr.dtype.kind == "i" and arr.size and arr.min() < 0:
-        raise ValueError("trial indices must lie in [0, 2^64)")
-    return arr.astype(np.uint64, copy=False)
-
-
 def _increasing(values: Sequence[int], what: str) -> np.ndarray:
     """``values`` as an int64 array, checked to be strictly increasing positive integers."""
     try:
@@ -180,7 +170,7 @@ def _last_sums(
     hz = _increasing(horizons, "horizons")
     if hz[-1] >= _MAX_HORIZON:
         raise ValueError(f"horizons must be below 2^53 = {_MAX_HORIZON}")
-    trials = _trials(trial_indices)
+    trials = np.asarray(trial_indices)
     n_t, n_h = len(trials), len(hz)
     x_out = np.zeros((n_t, n_h), dtype=np.int64)
     n = min(n_t, _LANES)
@@ -271,7 +261,7 @@ def digit_sums_at(
     must be strictly increasing.
     """
     cps = _increasing(checkpoints, "checkpoints")
-    trials = _trials(trial_indices)
+    trials = np.asarray(trial_indices)
     out = np.zeros((len(trials), len(cps)), dtype=np.int64)
     # no lane retires early, so the trials run in lockstep blocks of _LANES lanes
     for lo in range(0, len(trials), _LANES):

@@ -94,11 +94,12 @@ def test_bit_balance_is_plausible():
         lambda: stream_key(0, -1),
         lambda: stream_keys_np(-1, np.arange(3, dtype=np.uint64)),
         lambda: stream_keys_np(2**64 + 1, np.arange(3, dtype=np.uint64)),
+        lambda: stream_keys_np(1, np.array([-1, 0])),
         lambda: BitSource(2**64, 0),
         lambda: BitSource(0, 2**64 + 3),
     ],
     ids=["key-seed-2^64", "key-seed--1", "key-index-2^64", "key-index--1", "np-seed--1", "np-seed-2^64+1",
-         "source-seed-2^64", "source-index-2^64+3"],
+         "np-index--1", "source-seed-2^64", "source-index-2^64+3"],
 )
 def test_keys_outside_64_bits_are_rejected(make):
     with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
@@ -107,7 +108,19 @@ def test_keys_outside_64_bits_are_rejected(make):
 
 def test_largest_keys_are_accepted():
     assert stream_key(2**64 - 1, 2**64 - 1) == int(stream_keys_np(2**64 - 1, np.array([2**64 - 1], dtype=np.uint64))[0])
+    top = stream_keys_np(1, np.array([2**64 - 1, 0], dtype=np.uint64))
+    assert top.tolist() == [stream_key(1, 2**64 - 1), stream_key(1, 0)]
+    assert stream_keys_np(1, np.array([7, 0], dtype=np.int64)).tolist() == [stream_key(1, 7), stream_key(1, 0)]
     assert BitSource(2**64 - 1, 2**64 - 1).next_bits(64) == block64(stream_key(2**64 - 1, 2**64 - 1), 0)
+
+
+@pytest.mark.parametrize(
+    "indices", [np.array([0.5, 1.0]), np.array([0.0, 1.0]), np.array([True, False])], ids=["fraction", "float", "bool"]
+)
+def test_non_integer_stream_indices_are_rejected(indices):
+    # cast to uint64 these would key the streams [0, 1]
+    with pytest.raises(ValueError, match="stream indices must be an integer array"):
+        stream_keys_np(1, indices)
 
 
 def test_numpy_matches_scalar_kernels():

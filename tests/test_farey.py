@@ -8,18 +8,15 @@ from math import gcd, log
 
 import pytest
 
+from cfrenewal import farey
 from cfrenewal.bits import BitSource
-from cfrenewal.exact import DigitStream, StreamExhausted
+from cfrenewal.exact import DigitStream, LazyReal, StreamExhausted
 from cfrenewal.farey import (
-    _LY_LEFT,
-    _LY_RIGHT,
-    LazyOrbit,
-    farey_orbit,
+    _LY_RETURN,
     farey_step,
     fluctuation,
     kac_process,
     ly_orbit,
-    ly_spent_time,
     renewal_trace,
     verify_induced_map,
 )
@@ -146,93 +143,96 @@ class _PrefixSource:
     """Bit source that serves fixed leading bits, then a seeded stream."""
 
     def __init__(self, prefix: str, tail: BitSource):
-        self.prefix = [int(c) for c in prefix]
+        self.prefix = prefix
         self.tail = tail
+        self.stream_index = tail.stream_index
 
-    def next_bit(self) -> int:
-        return self.prefix.pop(0) if self.prefix else self.tail.next_bit()
+    def pending(self) -> tuple[int, int]:
+        return (int(self.prefix, 2), len(self.prefix)) if self.prefix else self.tail.pending()
+
+    def skip(self, count: int) -> None:
+        if self.prefix:
+            self.prefix = self.prefix[count:]
+        else:
+            self.tail.skip(count)
 
 
-def _ly_orbit_from_prefix(prefix: str) -> LazyOrbit:
-    return LazyOrbit(_PrefixSource(prefix, BitSource(77, 0)), _LY_LEFT, _LY_RIGHT)
+def _ly_orbit_from_prefix(monkeypatch, prefix: str) -> DigitStream:
+    monkeypatch.setattr(farey, "BitSource", lambda seed, index: _PrefixSource(prefix, BitSource(seed, index)))
+    return ly_orbit(77, 0)
 
 
-def test_ly_step_and_spent_time_examples():
+def test_ly_step_and_spent_time_examples(monkeypatch):
     # just below 3/4 = 0.11: 2x - 1 lands just below 1/2, so time 0 is the only visit
-    tr = ly_spent_time(_ly_orbit_from_prefix("10" + "1" * 40), 1)
+    tr = renewal_trace(_ly_orbit_from_prefix(monkeypatch, "10" + "1" * 40), 1)
     assert tr.Z_n == 0 and tr.sigma_n == 1 and tr.in_K_n
     # just below 2/3 = 0.(10): 2/3 -> 1/3 -> 1/2 from below, no return by time 2
-    tr2 = ly_spent_time(_ly_orbit_from_prefix("10" * 20 + "00"), 2)
+    tr2 = renewal_trace(_ly_orbit_from_prefix(monkeypatch, "10" * 20 + "00"), 2)
     assert tr2.Z_n == 0 and tr2.sigma_n == 2 and tr2.in_K_n
 
 
 def test_ly_spent_time_deterministic_replay():
-    a = ly_spent_time(ly_orbit(500, 3), 10_000)
-    b = ly_spent_time(ly_orbit(500, 3), 10_000)
+    a = renewal_trace(ly_orbit(500, 3), 10_000)
+    b = renewal_trace(ly_orbit(500, 3), 10_000)
     assert a == b
     assert 0 <= a.sigma_n <= 10_000
 
 
-def test_lazy_farey_orbit_matches_digit_entry_time():
-    # the first right-branch time of the lazy orbit equals a_1 - 1
-    for trial in range(60):
-        orbit = farey_orbit(606, trial)
-        steps = 0
-        while not orbit.step():
-            steps += 1
-        stream = DigitStream.from_seed(606, trial)
-        assert steps == stream.digit(1) - 1
-
-
-def test_lazy_orbit_consistency_with_first_return():
-    # after entering A_1, the next return gap equals the second digit
-    for trial in range(40):
-        orbit = farey_orbit(707, trial)
-        while not orbit.step():
-            pass
-        gap = 1
-        while not orbit.step():
-            gap += 1
-        stream = DigitStream.from_seed(707, trial)
-        assert gap == stream.digit(2)
-
-
-class _FullGcdOrbit(LazyOrbit):
-    """A lazy orbit whose step composes by hand and divides out the full gcd every time."""
-
-    factors = 0  # steps on which the gcd was above 1
-
-    def step(self):
-        right = self._resolve_branch()
-        al, be, ga, de = self.right if right else self.left
-        st = self.state
-        a, b, c, d = st.a, st.b, st.c, st.d
-        a, b, c, d = al * a + be * c, al * b + be * d, ga * a + de * c, ga * b + de * d
-        if d < 0 or c + d < 0:
-            a, b, c, d = -a, -b, -c, -d
-        g = gcd(gcd(a, b), gcd(c, d))
-        self.factors += g > 1
-        st.a, st.b, st.c, st.d = a // g, b // g, c // g, d // g
-        self.time += 1
-        return right
-
-
-@pytest.mark.parametrize("make", [farey_orbit, ly_orbit])
-def test_lazy_orbit_equals_full_gcd_walk(make):
-    # the parity-gated normalization of MobiusState.compose leaves the same
-    # states as a full gcd after every step, for both kinds of orbit
-    factors = 0
+def test_ly_orbit_equals_full_gcd_walk():
+    # the parity-gated normalization of MobiusState.emit and compose leaves the
+    # same states as a full gcd after every digit and return map
+    factors = 0  # return maps after which the full gcd was above 1
     for stream in range(10):
-        orbit = make(31, stream)
-        ref = _FullGcdOrbit(BitSource(31, stream), orbit.left, orbit.right)
+        gaps = iter(ly_orbit(31, stream))
+        real = LazyReal(BitSource(31, stream))
+        ref = LazyReal(BitSource(31, stream))
+        al, be, ga, de = _LY_RETURN
         for _ in range(2000):
-            assert orbit.step() == ref.step()
-            st, rs = orbit.state, ref.state
-            assert (st.a, st.b, st.c, st.d) == (rs.a, rs.b, rs.c, rs.d)
-            assert orbit.bits_consumed == ref.bits_consumed
-        factors += ref.factors
+            assert real.next_digit() == ref.next_digit() == next(gaps)
+            real.state.compose(_LY_RETURN)
+            st = ref.state
+            a, b, c, d = st.a, st.b, st.c, st.d
+            a, b, c, d = al * a + be * c, al * b + be * d, ga * a + de * c, ga * b + de * d
+            if d < 0 or c + d < 0:
+                a, b, c, d = -a, -b, -c, -d
+            g = gcd(gcd(a, b), gcd(c, d))
+            factors += g > 1
+            st.a, st.b, st.c, st.d = a // g, b // g, c // g, d // g
+            rs = real.state
+            assert (rs.a, rs.b, rs.c, rs.d) == (st.a, st.b, st.c, st.d)
+            assert real.bits_consumed == ref.bits_consumed
     # the doubling branch of the Lasota-Yorke map does leave common factors
-    assert factors > 0 if make is ly_orbit else factors == 0
+    assert factors > 0
+
+
+def _ly_visits(p: int, q: int, n: int) -> list[int]:
+    """Times t <= n at which the Lasota-Yorke orbit of p/q lies in (1/2, 1], on unreduced integer pairs."""
+    visits = []
+    for t in range(n + 1):
+        if 2 * p > q:
+            visits.append(t)
+            p = 2 * p - q  # 2x - 1
+        else:
+            q -= p  # x / (1 - x)
+    return visits
+
+
+def test_ly_orbit_matches_exact_integer_orbit():
+    # the orbit of the dyadic p/2^4096 read off the seeded stream, walked
+    # branch by branch in exact arithmetic; (p + 1)/2^4096 takes the same
+    # branches, so every real with these 4096 leading bits does
+    bits = 4096
+    for trial in range(40):
+        p = BitSource(404, trial).next_bits(bits)
+        visits = _ly_visits(p, 1 << bits, 1000)
+        assert _ly_visits(p + 1, 1 << bits, 1000) == visits
+        for n in (1, 2, 7, 60, 1000):
+            seen = [t for t in visits if t <= n]
+            tr = renewal_trace(ly_orbit(404, trial), n)
+            assert tr.in_K_n == bool(seen)
+            assert tr.Z_n == (seen[-1] if seen else 0)
+            assert tr.sigma_n == n - tr.Z_n
+            assert tr.tau_sums == tuple(t for t in seen if t)
 
 
 def test_renewal_trace_invariants_random():

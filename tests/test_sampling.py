@@ -12,7 +12,7 @@ from cfrenewal import sampling
 from cfrenewal.bits import _ROWS, block64, stream_key, uniform_from_block
 from cfrenewal.exact import DigitStream, orbit_records
 from cfrenewal.experiments import ExperimentConfig, fluctuation_samples
-from cfrenewal.farey import ly_orbit, ly_spent_time
+from cfrenewal.farey import ly_orbit, renewal_trace
 from cfrenewal.sampling import (
     digit_sum_crossings,
     digit_sums_at,
@@ -308,7 +308,7 @@ def test_ly_chain_matches_exact_lazy_orbit():
     n = 200
     trials = 1200
     exact_sigma = np.array(
-        [ly_spent_time(ly_orbit(77, t), n).sigma_n for t in range(trials)], dtype=float
+        [renewal_trace(ly_orbit(77, t), n).sigma_n for t in range(trials)], dtype=float
     )
     last = ly_last_visits(77, np.arange(10**6, 10**6 + trials, dtype=np.uint64), [n])[:, 0]
     chain_sigma = np.where(last >= 0, n - last, n).astype(float)
@@ -350,7 +350,7 @@ def test_crossings_reject_bad_horizons():
 def test_samplers_reject_trial_indices_that_alias_other_streams(run):
     # -1 would wrap to the stream of 2^64 - 1, and 2^64 - 1 as a float rounds to 2^64
     for trials in (np.array([-1, 0]), [5, -3], np.array([0.0, 1.0]), [2**64 - 1, 0], np.array([True])):
-        with pytest.raises(ValueError, match="trial indices"):
+        with pytest.raises(ValueError, match="stream indices"):
             run(1, trials, (100,))
 
 

@@ -24,14 +24,14 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cfrenewal"
 
 KEEP = {
+    "bits.BitSource.next_bit": "reference",
     "bits.uniform_from_block": "reference",
+    "exact.MobiusState.absorb": "reference",
     "exact.MobiusState.interval": "reference",
     "exact.gauss_iteration_oracle": "reference",
     "farey.verify_induced_map": "reference",
     "farey.kac_process": "ROADMAP item 5",
-    "farey.farey_orbit": "ROADMAP item 7",
     "farey.ly_orbit": "ROADMAP item 7",
-    "farey.ly_spent_time": "ROADMAP item 7",
     "stats.EmpiricalDistribution.cdf": "ROADMAP item 1",
     "transfer.mu_integral": "ROADMAP item 6",
 }
