@@ -16,18 +16,31 @@ started from the identity that only absorbs bits and emits digits keeps
 ``gcd(a, c) = 1`` and never normalizes: after B bits its entries share no
 factor and ``|ad - bc| = 2^B``.
 
-Bits are absorbed a block at a time: :meth:`MobiusState.refine` runs one loop
-over the unread bits of the source's current 64-bit block and stops at the
-first bit after which the digit is determined.  Every bit is still counted
-one by one, so ``bits_consumed``, the stream position and the per-digit
-refinement cap are exactly those of a bit-at-a-time walk.
+Two engines certify the digits of a seeded real, and they give the same
+digits, because every certified digit is the true digit of the same real.
+
+* The walk, :meth:`LazyReal.next_digit`, tests the digit after every bit:
+  :meth:`MobiusState.refine` runs one loop over the unread bits of the
+  source's current 64-bit block and stops at the first bit after which the
+  digit is determined.  So it knows the bit count B_k at which digit k is
+  certified, and it raises :class:`NonGenericPointError` exactly when
+  B_k - B_{k-1} exceeds the refinement cap.
+* The block engine behind :meth:`DigitStream.from_seed` absorbs a whole
+  64-bit block with one :meth:`MobiusState.absorb`, emits every digit that
+  the block determines, and absorbs the next block.  It knows only that a
+  digit emitted after the block ending at bit P has B_k in (P - 64, P], and
+  B_0 = 0, so it emits a digit only while that bound keeps B_k - B_{k-1}
+  within the cap.  Otherwise, and for a digit of 2^63 or more, it hands
+  over to the walk, which replays the digits already emitted and goes on;
+  every error therefore comes from the walk.  A cap below 64 hands over
+  before the first block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import exp, gcd, log
 from typing import Iterable, Iterator, Optional
 
@@ -93,14 +106,10 @@ class MobiusState:
         lo, hi = self.endpoints()
         return (lo, hi) if lo <= hi else (hi, lo)
 
-    def absorb(self, bit: int) -> None:
-        """Consume one tail bit: y = (bit + y')/2."""
-        if bit:
-            self.b = self.a + 2 * self.b
-            self.d = self.c + 2 * self.d
-        else:
-            self.b = 2 * self.b
-            self.d = 2 * self.d
+    def absorb(self, bits: int, count: int = 1) -> None:
+        """Consume ``count`` tail bits, first bit highest: y = (bits + y')/2^count."""
+        self.b = self.a * bits + (self.b << count)
+        self.d = self.c * bits + (self.d << count)
 
     def refine(self, bits: int, count: int) -> tuple[Optional[int], int]:
         """Absorb the ``count`` bits of ``bits`` (first bit highest) until the digit is determined.
@@ -237,6 +246,40 @@ class LazyReal:
         return m
 
 
+def _block_digits(src: BitSource, real: LazyReal) -> Iterator[int]:
+    """The digits of the fresh walk ``real``, certified a 64-bit block of ``src``, a fresh copy of its source, at a time.
+
+    Before it absorbs a block the engine checks that a digit emitted after
+    it would be certified within the cap: the block ends at bit P, and
+    ``lo`` is a lower bound on the bit count at which the last digit was
+    certified.  Where the check fails, or a digit reaches 2^63, it replays
+    the digits it emitted on ``real`` and stops, so the caller goes on with
+    the walk.  The replayed digits passed the cap rule and are below 2^63,
+    so the replay never raises and neither does this generator.
+    """
+    st = MobiusState.identity()
+    cap = real.refine_cap
+    lo = emitted = 0
+    while True:
+        bits, count = src.pending()
+        if src.position + count - lo > cap:
+            break
+        st.absorb(bits, count)
+        src.skip(count)
+        m = st.refine(0, 0)[0]
+        if m is not None:
+            lo = src.position - count + 1
+        while m is not None and m < _DIGIT_LIMIT:
+            st.emit(m)
+            emitted += 1
+            yield m
+            m = st.refine(0, 0)[0]
+        if m is not None:
+            break
+    for _ in range(emitted):
+        real.next_digit()
+
+
 class DigitStream:
     """Digit sequence with running sums and lazy extension.
 
@@ -260,8 +303,16 @@ class DigitStream:
         stream_index: int = 0,
         refine_cap: int = DEFAULT_REFINE_CAP,
     ) -> "DigitStream":
+        """The certified digits of the seeded real of ``(master_seed, stream_index)``.
+
+        The block engine (see the module docstring) emits digits while the
+        cap rule lets it, then hands over to a :class:`LazyReal` walk of the
+        same real, which replays them and continues.  The stream ends or
+        raises exactly where the walk alone would.
+        """
+        real = LazyReal(BitSource(master_seed, stream_index), refine_cap)
         # next_digit never returns None: its StreamExhausted ends the stream in _pull
-        return cls(iter(LazyReal(BitSource(master_seed, stream_index), refine_cap).next_digit, None))
+        return cls(chain(_block_digits(BitSource(master_seed, stream_index), real), iter(real.next_digit, None)))
 
     @classmethod
     def constant(cls, digit: int) -> "DigitStream":

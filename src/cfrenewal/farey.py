@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
-from typing import Iterator
 
 from .bits import BitSource
 from .exact import (
@@ -230,9 +229,11 @@ def ly_orbit(master_seed: int, stream_index: int, refine_cap: int = DEFAULT_REFI
     """
     real = LazyReal(BitSource(master_seed, stream_index), refine_cap)
 
-    def gaps() -> Iterator[int]:
-        while True:
-            yield real.next_digit()
-            real.state.compose(_LY_RETURN)
+    # a callable iterator, not a generator: one that raised would be dead, and
+    # the stream would report itself ended after a NonGenericPointError
+    def gap() -> int:
+        a = real.next_digit()
+        real.state.compose(_LY_RETURN)
+        return a
 
-    return DigitStream(gaps())
+    return DigitStream(iter(gap, None))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd
 
@@ -187,6 +189,112 @@ def test_stream_stays_open_after_a_nongeneric_point(monkeypatch):
         with pytest.raises(NonGenericPointError):
             query()
     assert not stream.exhausted
+
+
+def _walk_stream(source: BitSource, cap: int) -> DigitStream:
+    """The certified digits of ``source`` by the bit walk alone."""
+    return DigitStream(iter(LazyReal(source, cap).next_digit, None))
+
+
+def _queries(stream: DigitStream, count: int) -> list:
+    """S_1 .. S_count, each query that raises retried once, then ``exhausted``; errors as (type name, message)."""
+    out = []
+    for k in range(1, count + 1):
+        for _ in range(2):
+            try:
+                out.append(stream.partial_sum(k))
+                break
+            except (NonGenericPointError, exact.DigitOverflowError) as err:
+                out.append((type(err).__name__, str(err)))
+    out.append(stream.exhausted)
+    return out
+
+
+@pytest.mark.parametrize("cap", [1, 8, 12, 63, 64, 65, 127, 128, 512])
+def test_block_engine_matches_the_walk(cap):
+    # digits, error messages, retried queries and the end of the stream are the walk's
+    errors = 0
+    for t in range(100):
+        got = _queries(DigitStream.from_seed(22, t, cap), 400)
+        assert got == _queries(_walk_stream(BitSource(22, t), cap), 400)
+        errors += sum(isinstance(q, tuple) for q in got)
+    # caps up to 12 stop some digits; a random digit rarely needs more than 60 bits
+    assert (errors > 0) == (cap <= 12)
+
+
+@lru_cache(maxsize=None)
+def _big_digit_bits(t: int) -> int:
+    """The first 2048 bits of a point whose expansion repeats digits up to 2^58 next to each other."""
+    x = Fraction(0)
+    for d in reversed([3, 2 ** (t + 3), 2 ** (58 - t), 1, 2 ** (t // 2 + 30), 2 ** (t + 9), 2] * 3 + [1]):
+        x = 1 / (d + x)
+    return x.numerator * 2**2048 // x.denominator
+
+
+class BigDigitSource(BitSource):
+    """Stream t serves the bits of ``_big_digit_bits(t)``, then zeros; some digits take 60 to 116 bits."""
+
+    def pending(self):
+        _, count = super().pending()
+        return (_big_digit_bits(self.stream_index) >> max(2048 - self.position - count, 0)) & ((1 << count) - 1), count
+
+
+@pytest.mark.parametrize("cap", [63, 64, 65, 100, 127])
+def test_block_engine_keeps_the_cap_around_large_digits(monkeypatch, cap):
+    # digits that take about a cap's worth of bits, certified at every offset in
+    # a block: the engine emits those the cap allows and hands the rest over
+    want = [_queries(_walk_stream(BigDigitSource(0, t), cap), 18) for t in range(50)]
+    monkeypatch.setattr(exact, "BitSource", BigDigitSource)
+    assert [_queries(DigitStream.from_seed(0, t, cap), 18) for t in range(50)] == want
+    errors = sum(isinstance(q, tuple) for rows in want for q in rows)
+    assert (errors > 0) == (cap <= 100)
+
+
+class DyadicSource(BitSource):
+    """One seeded block, then zeros: the dyadic point p/2^64, whose expansion ends."""
+
+    def pending(self):
+        bits, count = super().pending()
+        return (bits if self.position < 64 else 0), count
+
+
+class LateOnesSource(BitSource):
+    """64 zero bits, then ones: a point just above 2^-64, whose first digit is 2^63 or more."""
+
+    def pending(self):
+        _, count = super().pending()
+        return (0 if self.position < 64 else (1 << count) - 1), count
+
+
+@pytest.mark.parametrize("source", [DyadicSource, LateOnesSource])
+@pytest.mark.parametrize("cap", [64, 100, 512])
+def test_block_engine_hands_stuck_points_to_the_walk(monkeypatch, source, cap):
+    # the engine hands over without raising, so the walk's error comes on every
+    # query and the stream stays open
+    for seed in range(8):
+        want = _queries(_walk_stream(source(seed, 0), cap), 60)
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "BitSource", source)
+            stream = DigitStream.from_seed(seed, 0, cap)
+        assert _queries(stream, 60) == want
+        # a dyadic point's 30-odd digits come through the engine and are replayed
+        first_error = next(i for i, q in enumerate(want) if isinstance(q, tuple))
+        assert first_error >= 30 if source is DyadicSource else first_error == 0
+        assert all(isinstance(q, tuple) for q in want[first_error:-1])
+        for query in (lambda: stream.ensure(first_error + 1), lambda: fluctuation(stream, 1 << 70)):
+            with pytest.raises((NonGenericPointError, exact.DigitOverflowError)):
+                query()
+        assert not stream.exhausted
+
+
+def test_absorbing_a_block_equals_absorbing_its_bits():
+    src = BitSource(4, 2)
+    block, count = src.pending()
+    whole, single = MobiusState(3, 1, -1, 5), MobiusState(3, 1, -1, 5)
+    whole.absorb(block, count)
+    for _ in range(count):
+        single.absorb(src.next_bit())
+    assert (whole.a, whole.b, whole.c, whole.d) == (single.a, single.b, single.c, single.d)
 
 
 @pytest.mark.parametrize("cap", [0, -3])

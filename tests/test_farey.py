@@ -10,7 +10,7 @@ import pytest
 
 from cfrenewal import farey
 from cfrenewal.bits import BitSource
-from cfrenewal.exact import DigitStream, LazyReal, StreamExhausted
+from cfrenewal.exact import DigitStream, LazyReal, NonGenericPointError, StreamExhausted
 from cfrenewal.farey import (
     _LY_RETURN,
     farey_step,
@@ -169,6 +169,24 @@ def test_ly_step_and_spent_time_examples(monkeypatch):
     # just below 2/3 = 0.(10): 2/3 -> 1/3 -> 1/2 from below, no return by time 2
     tr2 = renewal_trace(_ly_orbit_from_prefix(monkeypatch, "10" * 20 + "00"), 2)
     assert tr2.Z_n == 0 and tr2.sigma_n == 2 and tr2.in_K_n
+
+
+class _ZeroSource(BitSource):
+    """A bit source that serves only zeros: the point 0, where no gap is ever determined."""
+
+    def pending(self):
+        _, count = super().pending()
+        return 0, count
+
+
+def test_ly_orbit_stays_open_after_a_nongeneric_point(monkeypatch):
+    # a non-generic point is reported on every query, never as the end of the orbit
+    monkeypatch.setattr(farey, "BitSource", _ZeroSource)
+    stream = ly_orbit(0, 0, refine_cap=64)
+    for query in (lambda: stream.ensure(1), lambda: stream.ensure(1), lambda: renewal_trace(stream, 10)):
+        with pytest.raises(NonGenericPointError):
+            query()
+    assert not stream.exhausted
 
 
 def test_ly_spent_time_deterministic_replay():

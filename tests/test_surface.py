@@ -26,7 +26,6 @@ PACKAGE = ROOT / "src" / "cfrenewal"
 KEEP = {
     "bits.BitSource.next_bit": "reference",
     "bits.uniform_from_block": "reference",
-    "exact.MobiusState.absorb": "reference",
     "exact.MobiusState.interval": "reference",
     "exact.gauss_iteration_oracle": "reference",
     "farey.verify_induced_map": "reference",
