@@ -25,15 +25,22 @@ digits, because every certified digit is the true digit of the same real.
   digit is determined.  So it knows the bit count B_k at which digit k is
   certified, and it raises :class:`NonGenericPointError` exactly when
   B_k - B_{k-1} exceeds the refinement cap.
-* The block engine behind :meth:`DigitStream.from_seed` absorbs a whole
-  64-bit block with one :meth:`MobiusState.absorb`, emits every digit that
-  the block determines, and absorbs the next block.  It knows only that a
-  digit emitted after the block ending at bit P has B_k in (P - 64, P], and
-  B_0 = 0, so it emits a digit only while that bound keeps B_k - B_{k-1}
-  within the cap.  Otherwise, and for a digit of 2^63 or more, it hands
-  over to the walk, which replays the digits already emitted and goes on;
-  every error therefore comes from the walk.  A cap below 64 hands over
-  before the first block.
+* The block engine absorbs a whole 64-bit block with one
+  :meth:`MobiusState.absorb`, emits every digit that the block determines,
+  and absorbs the next block.  It knows only that a digit emitted after the
+  block ending at bit P has B_k in (P - 64, P], and B_0 = 0, so it emits a
+  digit only while that bound keeps B_k - B_{k-1} within the cap.
+  Otherwise, and for a digit of 2^63 or more, it hands over to the walk,
+  which replays the digits already emitted and goes on; every error
+  therefore comes from the walk.  A cap below 64 hands over before the
+  first block.
+
+Every seeded certified stream runs the block engine and then the walk, from
+one builder, :func:`_seeded_digits`: the digits of
+:meth:`DigitStream.from_seed`, and the Lasota-Yorke visit gaps of
+:func:`cfrenewal.farey.ly_orbit`, which are the digits of the same real with
+an integer return map composed into the state after each one.  Composing a
+map absorbs no bit, so the bounds on B_k and the cap rule hold for both.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, repeat
 from math import exp, gcd, log
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bits import BitSource
 
@@ -170,7 +177,8 @@ class MobiusState:
         dividing the determinant, so it is a power of 2 and ``a`` and ``c``
         are even.  The one map composed in the package is the Lasota-Yorke
         return x -> (1 - x)/(1 + x), ``(-1, 1, 1, 1)`` of determinant -2,
-        after each digit of :func:`cfrenewal.farey.ly_orbit`.
+        which both engines compose after each digit of
+        :func:`cfrenewal.farey.ly_orbit` (see the module docstring).
         """
         al, be, ga, de = m
         a, b, c, d = self.a, self.b, self.c, self.d
@@ -246,19 +254,20 @@ class LazyReal:
         return m
 
 
-def _block_digits(src: BitSource, real: LazyReal) -> Iterator[int]:
-    """The digits of the fresh walk ``real``, certified a 64-bit block of ``src``, a fresh copy of its source, at a time.
+def _block_digits(
+    src: BitSource, cap: int, return_map: Optional[tuple[int, int, int, int]], replay: Callable[[], int]
+) -> Iterator[int]:
+    """The block engine: certified digits of the fresh source ``src``, ``return_map`` composed after each.
 
     Before it absorbs a block the engine checks that a digit emitted after
-    it would be certified within the cap: the block ends at bit P, and
+    it would be certified within ``cap``: the block ends at bit P, and
     ``lo`` is a lower bound on the bit count at which the last digit was
-    certified.  Where the check fails, or a digit reaches 2^63, it replays
-    the digits it emitted on ``real`` and stops, so the caller goes on with
-    the walk.  The replayed digits passed the cap rule and are below 2^63,
-    so the replay never raises and neither does this generator.
+    certified.  Where the check fails, or a digit reaches 2^63, it calls
+    ``replay`` once per digit it emitted and stops, so the caller goes on
+    with the walk.  The replayed digits passed the cap rule and are below
+    2^63, so the replay never raises and neither does this generator.
     """
     st = MobiusState.identity()
-    cap = real.refine_cap
     lo = emitted = 0
     while True:
         bits, count = src.pending()
@@ -271,13 +280,40 @@ def _block_digits(src: BitSource, real: LazyReal) -> Iterator[int]:
             lo = src.position - count + 1
         while m is not None and m < _DIGIT_LIMIT:
             st.emit(m)
+            if return_map is not None:
+                st.compose(return_map)
             emitted += 1
             yield m
             m = st.refine(0, 0)[0]
         if m is not None:
             break
     for _ in range(emitted):
-        real.next_digit()
+        replay()
+
+
+def _seeded_digits(
+    master_seed: int, stream_index: int, refine_cap: int, return_map: Optional[tuple[int, int, int, int]] = None
+) -> Iterator[int]:
+    """The certified digits of the seeded real of ``(master_seed, stream_index)``, ``return_map`` composed after each.
+
+    The block engine, then the walk (see the module docstring); the digits
+    end or raise exactly where the walk alone would.  ``return_map`` is a row
+    for :meth:`MobiusState.compose`, or None for the continued-fraction
+    digits themselves.
+    """
+    real = LazyReal(BitSource(master_seed, stream_index), refine_cap)
+
+    # a callable iterator, not a generator: one that raised would be dead, and
+    # the stream would report itself ended after a NonGenericPointError
+    def walk() -> int:
+        a = real.next_digit()
+        if return_map is not None:
+            real.state.compose(return_map)
+        return a
+
+    # walk never returns None: its StreamExhausted ends the stream in DigitStream._pull
+    engine = _block_digits(BitSource(master_seed, stream_index), refine_cap, return_map, walk)
+    return chain(engine, iter(walk, None))
 
 
 class DigitStream:
@@ -288,7 +324,8 @@ class DigitStream:
     queries are O(1) after extension; a_k is S_k - S_{k-1}.  The stream ends
     where the iterator stops or raises :class:`StreamExhausted`; any other
     error leaves it open.  Each pulled digit must be >= 1 and each sum below
-    2^63.  Orbit statistics are streamed by :func:`orbit_records`, not kept.
+    2^63; a digit that fails either check raises on every later query.
+    Orbit statistics are streamed by :func:`orbit_records`, not kept.
     """
 
     def __init__(self, digit_iter: Iterable[int]):
@@ -305,14 +342,10 @@ class DigitStream:
     ) -> "DigitStream":
         """The certified digits of the seeded real of ``(master_seed, stream_index)``.
 
-        The block engine (see the module docstring) emits digits while the
-        cap rule lets it, then hands over to a :class:`LazyReal` walk of the
-        same real, which replays them and continues.  The stream ends or
-        raises exactly where the walk alone would.
+        They come from the block engine and then the walk, built by
+        :func:`_seeded_digits` (see the module docstring).
         """
-        real = LazyReal(BitSource(master_seed, stream_index), refine_cap)
-        # next_digit never returns None: its StreamExhausted ends the stream in _pull
-        return cls(chain(_block_digits(BitSource(master_seed, stream_index), real), iter(real.next_digit, None)))
+        return cls(_seeded_digits(master_seed, stream_index, refine_cap))
 
     @classmethod
     def constant(cls, digit: int) -> "DigitStream":
@@ -326,10 +359,14 @@ class DigitStream:
         except (StopIteration, StreamExhausted):
             self.exhausted = True
             return False
+        # the stream can never pass a digit that fails a check, so it is
+        # served to every later pull and a retried query raises again
         if a < 1:
+            self._iter = repeat(a)
             raise ValueError(f"continued-fraction digits must be >= 1, got {a}")
         s = self._sums[-1] + a
         if s >= _DIGIT_LIMIT:
+            self._iter = repeat(a)
             raise DigitOverflowError("digit sum exceeds the 64-bit checked range")
         self._sums.append(s)
         return True

@@ -7,7 +7,8 @@ map.  The fluctuation process X_n (largest digit sum not exceeding n) equals
 renewal quantities be computed from digits alone.  The Lasota-Yorke
 comparison map (same left branch, doubling right branch, A = (1/2, 1]) is
 read off digits too: :func:`ly_orbit` streams the gaps between its visits
-from one certified digit engine, and :func:`renewal_trace` serves both maps.
+from the seeded certified digit engine of :mod:`cfrenewal.exact`, and
+:func:`renewal_trace` serves both maps.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from .bits import BitSource
 from .exact import (
     DEFAULT_REFINE_CAP,
     DigitStream,
-    LazyReal,
     NonGenericPointError,
     StreamExhausted,
+    _seeded_digits,
 )
 
 # x -> (1 - x)/(1 + x), as a row (alpha, beta, gamma, delta) of
@@ -223,17 +224,9 @@ def ly_orbit(master_seed: int, stream_index: int, refine_cap: int = DEFAULT_REFI
 
     The left branch takes x to 1/(1 + G(x)) in A after a_1(x) - 1 steps, G
     the Gauss map, and the doubling branch takes that visit to
-    (1 - G)/(1 + G).  So the gaps are the digits of one :class:`LazyReal`
-    that composes ``_LY_RETURN`` into its state after each digit, and
+    (1 - G)/(1 + G).  So the gaps are the certified digits of the seeded
+    real with ``_LY_RETURN`` composed after each digit, from the engine of
+    :meth:`DigitStream.from_seed` (see :mod:`cfrenewal.exact`), and
     ``renewal_trace(ly_orbit(s, t), n)`` is the orbit's trace up to time n.
     """
-    real = LazyReal(BitSource(master_seed, stream_index), refine_cap)
-
-    # a callable iterator, not a generator: one that raised would be dead, and
-    # the stream would report itself ended after a NonGenericPointError
-    def gap() -> int:
-        a = real.next_digit()
-        real.state.compose(_LY_RETURN)
-        return a
-
-    return DigitStream(iter(gap, None))
+    return DigitStream(_seeded_digits(master_seed, stream_index, refine_cap, _LY_RETURN))

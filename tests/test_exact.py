@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from math import gcd
 
@@ -22,7 +22,7 @@ from cfrenewal.exact import (
     gauss_iteration_oracle,
     orbit_records,
 )
-from cfrenewal.farey import fluctuation
+from cfrenewal.farey import _LY_RETURN, fluctuation, ly_orbit
 
 
 class ZeroSource(BitSource):
@@ -191,9 +191,26 @@ def test_stream_stays_open_after_a_nongeneric_point(monkeypatch):
     assert not stream.exhausted
 
 
-def _walk_stream(source: BitSource, cap: int) -> DigitStream:
-    """The certified digits of ``source`` by the bit walk alone."""
-    return DigitStream(iter(LazyReal(source, cap).next_digit, None))
+# the seeded certified streams, by the integer map each composes after a digit
+_SEEDED = {None: DigitStream.from_seed, _LY_RETURN: ly_orbit}
+
+
+def _caps_and_return_maps(caps: list[int]) -> list:
+    """``(cap, None)`` as ``cap`` for the digits, then ``(cap, _LY_RETURN)`` as ``cap-ly`` for the LY gaps."""
+    return [pytest.param(c, None, id=str(c)) for c in caps] + [pytest.param(c, _LY_RETURN, id=f"{c}-ly") for c in caps]
+
+
+def _walk_stream(source: BitSource, cap: int, return_map=None) -> DigitStream:
+    """The certified digits of ``source`` by the bit walk alone, ``return_map`` composed after each."""
+    real = LazyReal(source, cap)
+
+    def step() -> int:
+        a = real.next_digit()
+        if return_map is not None:
+            real.state.compose(return_map)
+        return a
+
+    return DigitStream(iter(step, None))
 
 
 def _queries(stream: DigitStream, count: int) -> list:
@@ -210,42 +227,52 @@ def _queries(stream: DigitStream, count: int) -> list:
     return out
 
 
-@pytest.mark.parametrize("cap", [1, 8, 12, 63, 64, 65, 127, 128, 512])
-def test_block_engine_matches_the_walk(cap):
+@pytest.mark.parametrize("cap, return_map", _caps_and_return_maps([1, 8, 12, 63, 64, 65, 127, 128, 512]))
+def test_block_engine_matches_the_walk(cap, return_map):
     # digits, error messages, retried queries and the end of the stream are the walk's
     errors = 0
     for t in range(100):
-        got = _queries(DigitStream.from_seed(22, t, cap), 400)
-        assert got == _queries(_walk_stream(BitSource(22, t), cap), 400)
+        got = _queries(_SEEDED[return_map](22, t, cap), 400)
+        assert got == _queries(_walk_stream(BitSource(22, t), cap, return_map), 400)
         errors += sum(isinstance(q, tuple) for q in got)
     # caps up to 12 stop some digits; a random digit rarely needs more than 60 bits
     assert (errors > 0) == (cap <= 12)
 
 
 @lru_cache(maxsize=None)
-def _big_digit_bits(t: int) -> int:
-    """The first 2048 bits of a point whose expansion repeats digits up to 2^58 next to each other."""
+def _big_digit_bits(t: int, return_map=None) -> int:
+    """The first 2048 bits of a point whose expansion repeats digits up to 2^58 next to each other.
+
+    With a ``return_map`` the digits are those of the stream that composes it after each digit.
+    """
+    al, be, ga, de = return_map or (1, 0, 0, 1)
     x = Fraction(0)
     for d in reversed([3, 2 ** (t + 3), 2 ** (58 - t), 1, 2 ** (t // 2 + 30), 2 ** (t + 9), 2] * 3 + [1]):
-        x = 1 / (d + x)
+        x = 1 / (d + (de * x - be) / (al - ga * x))  # undo the return map, then the Gauss step
     return x.numerator * 2**2048 // x.denominator
 
 
 class BigDigitSource(BitSource):
-    """Stream t serves the bits of ``_big_digit_bits(t)``, then zeros; some digits take 60 to 116 bits."""
+    """Stream t serves the bits of ``_big_digit_bits(t, return_map)``, then zeros; some digits take 60 to 116 bits."""
+
+    def __init__(self, master_seed: int, stream_index: int = 0, return_map=None):
+        super().__init__(master_seed, stream_index)
+        self.return_map = return_map
 
     def pending(self):
         _, count = super().pending()
-        return (_big_digit_bits(self.stream_index) >> max(2048 - self.position - count, 0)) & ((1 << count) - 1), count
+        bits = _big_digit_bits(self.stream_index, self.return_map)
+        return (bits >> max(2048 - self.position - count, 0)) & ((1 << count) - 1), count
 
 
-@pytest.mark.parametrize("cap", [63, 64, 65, 100, 127])
-def test_block_engine_keeps_the_cap_around_large_digits(monkeypatch, cap):
+@pytest.mark.parametrize("cap, return_map", _caps_and_return_maps([63, 64, 65, 100, 127]))
+def test_block_engine_keeps_the_cap_around_large_digits(monkeypatch, cap, return_map):
     # digits that take about a cap's worth of bits, certified at every offset in
     # a block: the engine emits those the cap allows and hands the rest over
-    want = [_queries(_walk_stream(BigDigitSource(0, t), cap), 18) for t in range(50)]
-    monkeypatch.setattr(exact, "BitSource", BigDigitSource)
-    assert [_queries(DigitStream.from_seed(0, t, cap), 18) for t in range(50)] == want
+    source = partial(BigDigitSource, return_map=return_map)
+    want = [_queries(_walk_stream(source(0, t), cap, return_map), 18) for t in range(50)]
+    monkeypatch.setattr(exact, "BitSource", source)
+    assert [_queries(_SEEDED[return_map](0, t, cap), 18) for t in range(50)] == want
     errors = sum(isinstance(q, tuple) for rows in want for q in rows)
     assert (errors > 0) == (cap <= 100)
 
@@ -267,15 +294,15 @@ class LateOnesSource(BitSource):
 
 
 @pytest.mark.parametrize("source", [DyadicSource, LateOnesSource])
-@pytest.mark.parametrize("cap", [64, 100, 512])
-def test_block_engine_hands_stuck_points_to_the_walk(monkeypatch, source, cap):
+@pytest.mark.parametrize("cap, return_map", _caps_and_return_maps([64, 100, 512]))
+def test_block_engine_hands_stuck_points_to_the_walk(monkeypatch, source, cap, return_map):
     # the engine hands over without raising, so the walk's error comes on every
     # query and the stream stays open
     for seed in range(8):
-        want = _queries(_walk_stream(source(seed, 0), cap), 60)
+        want = _queries(_walk_stream(source(seed, 0), cap, return_map), 60)
         with monkeypatch.context() as patch:
             patch.setattr(exact, "BitSource", source)
-            stream = DigitStream.from_seed(seed, 0, cap)
+            stream = _SEEDED[return_map](seed, 0, cap)
         assert _queries(stream, 60) == want
         # a dyadic point's 30-odd digits come through the engine and are replayed
         first_error = next(i for i, q in enumerate(want) if isinstance(q, tuple))
@@ -311,6 +338,12 @@ def test_mobius_state_normalizes_gcd():
 def test_stream_rejects_invalid_digits():
     with pytest.raises(ValueError):
         DigitStream([0]).digit(1)
+    # the digit that raised is kept, so a retry cannot read the next one in its place
+    stream = DigitStream([1, 0, 3])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            stream.partial_sum(2)
+    assert stream.partial_sum(1) == 1 and not stream.exhausted
 
 
 def test_stream_rejects_indices_before_the_first_digit():
@@ -338,6 +371,12 @@ def test_digit_overflow_is_a_typed_error():
     stream.digit(1)
     with pytest.raises(DigitOverflowError):
         stream.digit(2)
+    # the digit that overflowed is kept, so a retry cannot sum the next one in its place
+    stream = DigitStream([2**62, 2**62, 5])
+    for query in (lambda: stream.partial_sum(2), lambda: stream.partial_sum(2), lambda: stream.digit(2)):
+        with pytest.raises(DigitOverflowError):
+            query()
+    assert stream.partial_sum(1) == 2**62 and not stream.exhausted
 
 
 def test_bits_consumed_matches_source_when_next_digit_raises():

@@ -8,7 +8,7 @@ from math import gcd, log
 
 import pytest
 
-from cfrenewal import farey
+from cfrenewal import exact
 from cfrenewal.bits import BitSource
 from cfrenewal.exact import DigitStream, LazyReal, NonGenericPointError, StreamExhausted
 from cfrenewal.farey import (
@@ -146,11 +146,13 @@ class _PrefixSource:
         self.prefix = prefix
         self.tail = tail
         self.stream_index = tail.stream_index
+        self.position = 0
 
     def pending(self) -> tuple[int, int]:
         return (int(self.prefix, 2), len(self.prefix)) if self.prefix else self.tail.pending()
 
     def skip(self, count: int) -> None:
+        self.position += count
         if self.prefix:
             self.prefix = self.prefix[count:]
         else:
@@ -158,7 +160,7 @@ class _PrefixSource:
 
 
 def _ly_orbit_from_prefix(monkeypatch, prefix: str) -> DigitStream:
-    monkeypatch.setattr(farey, "BitSource", lambda seed, index: _PrefixSource(prefix, BitSource(seed, index)))
+    monkeypatch.setattr(exact, "BitSource", lambda seed, index: _PrefixSource(prefix, BitSource(seed, index)))
     return ly_orbit(77, 0)
 
 
@@ -181,7 +183,7 @@ class _ZeroSource(BitSource):
 
 def test_ly_orbit_stays_open_after_a_nongeneric_point(monkeypatch):
     # a non-generic point is reported on every query, never as the end of the orbit
-    monkeypatch.setattr(farey, "BitSource", _ZeroSource)
+    monkeypatch.setattr(exact, "BitSource", _ZeroSource)
     stream = ly_orbit(0, 0, refine_cap=64)
     for query in (lambda: stream.ensure(1), lambda: stream.ensure(1), lambda: renewal_trace(stream, 10)):
         with pytest.raises(NonGenericPointError):
