@@ -9,7 +9,9 @@ with fixed column orders (schema version 1, documented in the README); every
 output embeds the master seed, artifact version, and a hash of the effective
 configuration.  Numeric formatting is shortest round-trip decimal, so
 identical configurations produce byte-identical files on any platform and any
-worker count.
+worker count.  Start-up imports ``exact`` and ``transfer`` only: ``experiments``
+(with the sampler, ``farey`` and ``stats``) loads when a subcommand first
+calls into it, so ``expand`` and ``operator`` never load it.
 
 Exit codes: 0 success, 2 usage error, 3 non-generic point, 4 I/O failure.
 """
@@ -35,16 +37,6 @@ from .exact import (
     digits_of_rational,
     orbit_records,
 )
-from .experiments import (
-    ExperimentConfig,
-    run_diamond_vaaler,
-    run_khinchin,
-    run_ly_uniform_law,
-    run_large_deviation,
-    run_stable_stability,
-    run_uniform_law,
-    run_weak_law,
-)
 from .transfer import (
     ClosedFormDensity,
     DEFAULT_PROBES,
@@ -52,6 +44,34 @@ from .transfer import (
     farey_mesh,
     uniform_returning_trace,
 )
+
+
+def _deferred(name: str):
+    """A stand-in for ``experiments.<name>`` that imports ``experiments`` when it is called.
+
+    ``experiments`` loads the sampler, ``farey`` and ``stats``, which
+    ``expand`` and ``operator`` never run, so start-up does not import it.
+    The stand-ins are attributes of this module, and the subcommands call
+    through them, so a caller can still wrap ``cli.run_uniform_law``.
+    """
+
+    def call(*args, **kwargs):
+        from . import experiments
+
+        return getattr(experiments, name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+ExperimentConfig = _deferred("ExperimentConfig")
+run_diamond_vaaler = _deferred("run_diamond_vaaler")
+run_khinchin = _deferred("run_khinchin")
+run_ly_uniform_law = _deferred("run_ly_uniform_law")
+run_large_deviation = _deferred("run_large_deviation")
+run_stable_stability = _deferred("run_stable_stability")
+run_uniform_law = _deferred("run_uniform_law")
+run_weak_law = _deferred("run_weak_law")
 
 SCHEMA_VERSION = 1
 

@@ -46,12 +46,14 @@ map absorbs no bit, so the bounds on B_k and the cap rule hold for both.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import chain, repeat
 from math import exp, gcd, log
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .bits import BitSource
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _DIGIT_LIMIT = 1 << 63  # checked-arithmetic bound for digit values and sums
 
@@ -107,6 +109,8 @@ class MobiusState:
 
     def endpoints(self) -> tuple[Fraction, Fraction]:
         """Values at y = 0 and y = 1 (the image interval hull, unordered)."""
+        from fractions import Fraction  # imported here: the digit paths need no Fraction
+
         return Fraction(self.b, self.d), Fraction(self.a + self.b, self.c + self.d)
 
     def interval(self) -> tuple[Fraction, Fraction]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log
-from multiprocessing import get_context
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -98,6 +97,8 @@ def _map_chunks(fn, cfg: ExperimentConfig, *args, offset: int = 0) -> list:
     ranges = np.array_split(np.arange(offset, offset + cfg.trials, dtype=np.uint64), workers)
     if workers == 1:
         return [fn(cfg.master_seed, ranges[0], *args)]
+    from multiprocessing import get_context  # a serial run never loads it
+
     with get_context("fork").Pool(workers) as pool:
         return pool.starmap(fn, [(cfg.master_seed, r, *args) for r in ranges])
 

@@ -14,8 +14,8 @@ from the seeded certified digit engine of :mod:`cfrenewal.exact`, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import log
+from typing import TYPE_CHECKING
 
 from .bits import BitSource
 from .exact import (
@@ -25,6 +25,9 @@ from .exact import (
     StreamExhausted,
     _seeded_digits,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # x -> (1 - x)/(1 + x), as a row (alpha, beta, gamma, delta) of
 # (alpha*x + beta)/(gamma*x + delta): the Lasota-Yorke visit 1/(1 + G), G the
@@ -93,6 +96,8 @@ def _left_branch_run(x: Fraction, count: int) -> Fraction:
         return x
     if x * (count + 1) > 1:
         raise ValueError(f"{x} leaves the left branch before {count} steps")
+    from fractions import Fraction  # imported here: the seeded orbits need no Fraction
+
     return Fraction(x.numerator, x.denominator - count * x.numerator)
 
 

@@ -8,6 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -51,6 +52,18 @@ def test_claim_needs_nine_tenths_of_pairs_and_more_than_the_parent_iqr():
     # every pair won, but by less than the spread of the parent's own runs
     slight = [v - 0.01 for v in parent]
     assert not bench_pairs.claim_verdict(bench_pairs.compare(parent, slight, True, 0.25), True)["met"]
+
+
+@pytest.mark.parametrize("dont_write", [None, "1"])
+def test_machine_records_whether_the_interpreter_writes_bytecode(monkeypatch, dont_write):
+    # a run that compiles the package in every process pays about twice the import time in setup_s
+    if dont_write is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", dont_write)
+    host = bench_pairs.machine()
+    assert host["writes_bytecode"] is (dont_write is None)
+    assert host["numpy"] == np.__version__
 
 
 def test_raw_medians_read_the_runs_result_file(tmp_path):

@@ -393,18 +393,55 @@ def test_classic_log_divisor_of_zero_exit_2(tmp_path, capsys, argv, message):
     assert not list(tmp_path.glob("out.*"))
 
 
-def test_cli_module_entrypoint_runs():
+def _child_env() -> dict:
     # the child finds the package where this process imported it from
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cfrenewal.cli", "expand", "--constant", "sqrt2", "--count", "3"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("1,2,2,0")
+
+
+# runs one command in a fresh interpreter and prints its exit code and the modules it loaded
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from cfrenewal import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+_EXPERIMENT_MODULES = ("cfrenewal.experiments", "cfrenewal.sampling", "cfrenewal.stats", "cfrenewal.farey")
+
+
+@pytest.mark.parametrize(
+    "argv, absent, present",
+    [
+        (["operator", "--n", "4", "--n", "16"], (*_EXPERIMENT_MODULES, "multiprocessing", "fractions"), ()),
+        (["simulate", "--trials", "50", "--n", "100", "--workers", "1"], ("multiprocessing", "fractions"),
+         _EXPERIMENT_MODULES),
+        (["simulate", "--trials", "50", "--n", "100", "--workers", "2"], ("fractions",),
+         (*_EXPERIMENT_MODULES, "multiprocessing")),
+    ],
+    ids=["operator", "simulate-serial", "simulate-pool"],
+)
+def test_subcommands_load_only_the_modules_they_run(argv, absent, present):
+    # start-up cost: operator never loads the sampler side, and only a pool loads multiprocessing
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    assert not [m for m in absent if m in modules]
+    assert [m for m in present if m in modules] == list(present)
 
 
 def test_nongeneric_point_exits_3():
@@ -412,6 +449,13 @@ def test_nongeneric_point_exits_3():
     # error, which the CLI maps to exit code 3
     code, _ = run_cli("expand", "--seed", "12", "--count", "200", "--refine-cap", "8")
     assert code == 3
+
+
+def test_nongeneric_point_in_an_experiment_exits_3(capsys):
+    # the same mapping for an error raised inside experiments, which the CLI imports late
+    code, _ = run_cli("simulate", "--source", "exact", "--refine-cap", "1", "--trials", "2", "--n", "10")
+    assert code == 3
+    assert "non-generic point: trial 0 failed 8 resampling rounds" in capsys.readouterr().err
 
 
 def test_format_csv_only(tmp_path):

@@ -121,6 +121,14 @@ def test_interval_monotonicity_under_absorption():
         prev_lo, prev_hi = lo, hi
 
 
+def test_endpoints_and_interval_are_exact_fractions():
+    # y -> (2 - y)/(y + 3): 2/3 at y = 0, 1/4 at y = 1
+    st = MobiusState(-1, 2, 1, 3)
+    assert st.endpoints() == (Fraction(2, 3), Fraction(1, 4))
+    assert st.interval() == (Fraction(1, 4), Fraction(2, 3))
+    assert all(type(v) is Fraction for v in (*st.endpoints(), *st.interval()))
+
+
 def test_emit_maps_interval_through_gauss_step():
     src = BitSource(21, 0)
     st = MobiusState.identity()

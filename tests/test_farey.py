@@ -13,6 +13,7 @@ from cfrenewal.bits import BitSource
 from cfrenewal.exact import DigitStream, LazyReal, NonGenericPointError, StreamExhausted
 from cfrenewal.farey import (
     _LY_RETURN,
+    _left_branch_run,
     farey_step,
     fluctuation,
     kac_process,
@@ -291,6 +292,18 @@ def test_induced_map_closed_form_matches_stepwise():
         except Exception:
             continue
         assert a == b
+
+
+def test_left_branch_run_is_an_exact_fraction():
+    x = Fraction(1, 7)
+    z = x
+    for _ in range(5):
+        z = farey_step(z)
+    run = _left_branch_run(x, 5)
+    assert run == z == Fraction(1, 2)
+    assert type(run) is Fraction
+    with pytest.raises(ValueError):
+        _left_branch_run(x, 7)
 
 
 def test_verify_induced_map_seeded_matches_fraction_path():

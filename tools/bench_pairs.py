@@ -99,19 +99,27 @@ def revision(tree: Path) -> dict:
 
 
 def machine() -> dict:
+    """The host, and the interpreter the runs use: its numpy and whether it writes bytecode.
+
+    An interpreter that writes no bytecode (``PYTHONDONTWRITEBYTECODE`` set)
+    compiles the package in every fresh process, which about doubles the
+    import part of ``setup_s``; two records agree on ``writes_bytecode``
+    before their ``setup_s`` can be compared."""
     cpu = platform.processor() or None
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
             cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu)
     except OSError:
         pass
-    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                           capture_output=True, text=True)
+    probe = subprocess.run([sys.executable, "-c", "import sys; print(int(sys.flags.dont_write_bytecode)); "
+                            "import numpy; print(numpy.__version__)"], capture_output=True, text=True)
+    lines = probe.stdout.split()
     return {
         "cpu": cpu,
         "vcpus": os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": numpy.stdout.strip() or None,
+        "numpy": lines[1] if len(lines) > 1 else None,
+        "writes_bytecode": lines[0] == "0" if lines else None,
         "platform": platform.platform(),
     }
 
