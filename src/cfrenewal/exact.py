@@ -27,9 +27,15 @@ digits, because every certified digit is the true digit of the same real.
   B_k - B_{k-1} exceeds the refinement cap.
 * The block engine absorbs a whole 64-bit block with one
   :meth:`MobiusState.absorb`, emits every digit that the block determines,
-  and absorbs the next block.  It knows only that a digit emitted after the
-  block ending at bit P has B_k in (P - 64, P], and B_0 = 0, so it emits a
-  digit only while that bound keeps B_k - B_{k-1} within the cap.
+  and absorbs the next block.  The digits come from
+  :meth:`MobiusState.determined_digits`, Euclid run on both ends of the
+  image at once: a digit is determined while the two ends have the same
+  quotient, and the Gauss step is one remainder step on each end.  The state
+  is written back, and normalized, once per block; the walk replays the
+  engine's digits on a state of its own, so that changes no digit.  The
+  engine knows only that a digit emitted after the block ending at bit P
+  has B_k in (P - 64, P], and B_0 = 0, so it emits a digit only while that
+  bound keeps B_k - B_{k-1} within the cap.
   Otherwise, and for a digit of 2^63 or more, it hands over to the walk,
   which replays the digits already emitted and goes on; every error
   therefore comes from the walk.  A cap below 64 hands over before the
@@ -48,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import chain, repeat
 from math import exp, gcd, log
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Optional
 
 from .bits import BitSource
 
@@ -80,11 +86,14 @@ class MobiusState:
     """Integer map y -> (a*y + b)/(c*y + d) applied to the unread tail y in [0,1].
 
     Invariants kept by the update methods: the denominator is positive on
-    [0, 1], and after each :meth:`emit` the four entries have no common
-    factor.  Construction normalizes with the full gcd; :meth:`emit`
+    [0, 1], and after each :meth:`emit`, and each run of
+    :meth:`determined_digits` that yields a digit, the four entries have no
+    common factor.  Construction normalizes with the full gcd; :meth:`emit`
     normalizes only when ``a`` and ``c`` are both even, the one case in which
     the bits absorbed since the last emit can have left a common factor (see
-    the module docstring).  :meth:`absorb` and :meth:`refine` do not normalize.
+    the module docstring), and :meth:`determined_digits` in the same case,
+    once after its last digit.  :meth:`absorb` and :meth:`refine` do not
+    normalize.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -100,7 +109,8 @@ class MobiusState:
         return cls(1, 0, 0, 1)
 
     def normalize(self) -> None:
-        g = gcd(gcd(abs(self.a), abs(self.b)), gcd(abs(self.c), abs(self.d)))
+        # one gcd of two full-size entries; the rest are against the small result
+        g = gcd(self.a, self.b, self.c, self.d)
         if g > 1:
             self.a //= g
             self.b //= g
@@ -193,6 +203,56 @@ class MobiusState:
         if not (a & 1 or c & 1):
             self.normalize()
 
+    def determined_digits(
+        self, return_map: Optional[tuple[int, int, int, int]] = None
+    ) -> Generator[int, None, tuple[int, bool]]:
+        """Yield every digit the state determines, ``return_map`` composed after each, absorbing no bit.
+
+        The digits of a loop of ``refine(0, 0)``, :meth:`emit` and
+        :meth:`compose`, in fewer operations: Euclid on the two ends of the image, ``(p0, q0) = (b, d)``
+        at y = 0 and ``(p1, q1) = (a + b, c + d)`` at y = 1 (Gosper's
+        continued-fraction arithmetic, HAKMEM item 101).  The digit m is
+        determined while both ends are positive and ``q0 // p0 == q1 // p1
+        == m >= 1``; the Gauss step takes each end (p, q) to (q mod p, p),
+        and the map multiplies both ends, with all signs flipped when a
+        ``q`` turns negative.  The state is written back once, after the
+        last digit, and normalized only then, when ``a`` and ``c`` are both
+        even.  The normalizations that :meth:`emit` and :meth:`compose` make
+        on the way only divide all four entries by a common factor, so
+        deferring them changes no digit; and while ``|ad - bc|`` is a power
+        of 2 (see :meth:`compose`) the one at the end removes what they
+        would have removed, so the final state is theirs too.
+
+        Stops before a digit of 2^63 or more.  Returns ``(count, big)``: the
+        number of digits yielded, and whether it stopped at such a digit.
+        """
+        if return_map is not None:
+            al, be, ga, de = return_map
+        p0, q0, p1, q1 = self.b, self.d, self.a + self.b, self.c + self.d
+        count = 0
+        big = False
+        while p0 > 0 and p1 > 0:
+            m, r0 = divmod(q0, p0)
+            m1, r1 = divmod(q1, p1)
+            if m != m1 or m < 1:
+                break
+            if m >= _DIGIT_LIMIT:
+                big = True
+                break
+            count += 1
+            yield m
+            p0, q0, p1, q1 = r0, p0, r1, p1
+            if return_map is not None:
+                p0, q0, p1, q1 = al * p0 + be * q0, ga * p0 + de * q0, al * p1 + be * q1, ga * p1 + de * q1
+                if q0 < 0 or q1 < 0:
+                    p0, q0, p1, q1 = -p0, -q0, -p1, -q1
+        if count:
+            a, c = p1 - p0, q1 - q0
+            self.a, self.b, self.c, self.d = a, p0, c, q0
+            if not (a & 1 or c & 1):
+                self.normalize()
+        return count, big
+
     def is_exhausted(self) -> bool:
         """True when the image has collapsed to the single point 0."""
         return self.a == 0 and self.b == 0
@@ -279,17 +339,11 @@ def _block_digits(
             break
         st.absorb(bits, count)
         src.skip(count)
-        m = st.refine(0, 0)[0]
-        if m is not None:
+        found, big = yield from st.determined_digits(return_map)
+        if found:
             lo = src.position - count + 1
-        while m is not None and m < _DIGIT_LIMIT:
-            st.emit(m)
-            if return_map is not None:
-                st.compose(return_map)
-            emitted += 1
-            yield m
-            m = st.refine(0, 0)[0]
-        if m is not None:
+            emitted += found
+        if big:
             break
     for _ in range(emitted):
         replay()

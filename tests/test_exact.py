@@ -322,6 +322,101 @@ def test_block_engine_hands_stuck_points_to_the_walk(monkeypatch, source, cap, r
         assert not stream.exhausted
 
 
+def test_block_engine_matches_the_walk_on_long_streams():
+    # at 5000 digits the state entries are near 8500 bits, against 700 at the 400 sums above
+    for return_map, seeded in _SEEDED.items():
+        for t in range(5):
+            want = list(islice(_walk_stream(BitSource(25, t), 512, return_map), 5000))
+            assert len(want) == 5000
+            assert list(islice(seeded(25, t, 512), 5000)) == want
+
+
+_BIG = 1 << 64
+
+# start states for determined_digits: the identity, the start laws R = 1 and
+# R = 1/2, a constant, one with a and c even, and two whose next digit is 2^64
+_DETERMINED_STARTS = {
+    "identity": (1, 0, 0, 1),
+    "R=1": (1, 0, -1, 2),
+    "R=1/2": (2, 0, -1, 3),
+    "constant": (0, 113, 0, 355),
+    "even": (2, 1, 0, 4),
+    "big-first": (0, 2, 1, 2 * _BIG),  # y -> 2/(2^65 + y): the digit 2^64
+    "big-second": (1, 2 * _BIG, 3, 6 * _BIG + 2),  # y -> 1/(3 + 2/(2^65 + y)): 3, then 2^64
+}
+
+
+class _CountingState(MobiusState):
+    """A state that counts the normalizations that remove a common factor."""
+
+    def normalize(self) -> None:
+        before = (self.a, self.b, self.c, self.d)
+        super().normalize()
+        self.removed = getattr(self, "removed", 0) + (before != (self.a, self.b, self.c, self.d))
+
+
+def _stepwise_digits(st: MobiusState, return_map, limit: int):
+    """What ``determined_digits`` must do: ``refine(0, 0)``, ``emit``, then ``compose``, one digit at a time.
+
+    Returns the digits and ``(count, stopped at a digit of 2^63 or more)``,
+    or None in its place if ``limit`` digits came first.
+    """
+    digits = []
+    m = st.refine(0, 0)[0]
+    while m is not None and m < 2**63:
+        if len(digits) == limit:
+            return digits, None
+        st.emit(m)
+        if return_map is not None:
+            st.compose(return_map)
+        digits.append(m)
+        m = st.refine(0, 0)[0]
+    return digits, (len(digits), m is not None)
+
+
+def _determined(st: MobiusState, return_map, limit: int):
+    """``determined_digits`` run to its end, or to ``limit`` digits; shaped like ``_stepwise_digits``."""
+    gen = st.determined_digits(return_map)
+    digits = []
+    for _ in range(limit + 1):
+        try:
+            digits.append(next(gen))
+        except StopIteration as stop:
+            return digits, stop.value
+    return digits[:limit], None
+
+
+@pytest.mark.parametrize("return_map", [None, _LY_RETURN, tuple(-v for v in _LY_RETURN)], ids=["cf", "ly", "ly-negated"])
+@pytest.mark.parametrize("start", list(_DETERMINED_STARTS))
+def test_determined_digits_match_the_stepwise_gauss_steps(start, return_map):
+    # each start, then after each of 12 random 64-bit blocks absorbed into it:
+    # the same digits, the same return value and the same written-back state;
+    # the LY map with every sign negated is the same map, and makes each Gauss
+    # step flip the signs to keep the denominator positive
+    rng = random.Random(start)
+    removed = 0
+    for _ in range(6):
+        st, ref = _CountingState(*_DETERMINED_STARTS[start]), MobiusState(*_DETERMINED_STARTS[start])
+        st.removed = 0
+        for block in range(13):
+            got = _determined(st, return_map, 200)
+            assert got == _stepwise_digits(ref, return_map, 200)
+            if got[1] is None:
+                # a point under the LY map goes on with digits 1 for ever
+                assert start == "constant" and return_map is not None and got[0][-50:] == [1] * 50
+                break
+            assert (st.a, st.b, st.c, st.d) == (ref.a, ref.b, ref.c, ref.d)
+            if block == 0 and start.startswith("big") and return_map is None:
+                assert got == ([3], (1, True)) if start == "big-second" else ([], (0, True))
+            bits = rng.getrandbits(64)
+            st.absorb(bits, 64)
+            ref.absorb(bits, 64)
+        removed += st.removed
+    # a common factor is left to remove by the even start, and by the LY map
+    # (determinant -2) wherever digits go on; never from the identity alone
+    assert (removed > 0) == (start == "even" or (return_map is not None and start in ("identity", "R=1", "R=1/2")))
+
+
 def test_absorbing_a_block_equals_absorbing_its_bits():
     src = BitSource(4, 2)
     block, count = src.pending()
