@@ -209,9 +209,10 @@ class MobiusState:
         """Yield every digit the state determines, ``return_map`` composed after each, absorbing no bit.
 
         The digits of a loop of ``refine(0, 0)``, :meth:`emit` and
-        :meth:`compose`, in fewer operations: Euclid on the two ends of the image, ``(p0, q0) = (b, d)``
-        at y = 0 and ``(p1, q1) = (a + b, c + d)`` at y = 1 (Gosper's
-        continued-fraction arithmetic, HAKMEM item 101).  The digit m is
+        :meth:`compose`, in fewer operations: Euclid on the two ends of the
+        image, ``(p0, q0) = (b, d)`` at y = 0 and ``(p1, q1) = (a + b, c +
+        d)`` at y = 1 (Gosper's continued-fraction arithmetic, HAKMEM item
+        101).  The digit m is
         determined while both ends are positive and ``q0 // p0 == q1 // p1
         == m >= 1``; the Gauss step takes each end (p, q) to (q mod p, p),
         and the map multiplies both ends, with all signs flipped when a
