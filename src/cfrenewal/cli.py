@@ -13,7 +13,8 @@ worker count.  Start-up imports ``exact`` and ``transfer`` only: ``experiments``
 (with the sampler, ``farey`` and ``stats``) loads when a subcommand first
 calls into it, so ``expand`` and ``operator`` never load it.
 
-Exit codes: 0 success, 2 usage error, 3 non-generic point, 4 I/O failure.
+Exit codes: 0 success, 2 usage error (also a digit or digit sum of 2^63 or
+more), 3 non-generic point, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from . import __version__
 from .exact import (
     DEFAULT_REFINE_CAP,
+    DigitOverflowError,
     DigitStream,
     NonGenericPointError,
     digits_of_rational,
@@ -574,7 +576,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         conf = _merged(args)
         header, columns, summary = args.fn(args, conf)
         _emit(args, _echo_config(conf), header, columns, summary)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, DigitOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonGenericPointError as exc:

@@ -34,8 +34,9 @@ digits, because every certified digit is the true digit of the same real.
   is written back, and normalized, once per block; the walk replays the
   engine's digits on a state of its own, so that changes no digit.  The
   engine knows only that a digit emitted after the block ending at bit P
-  has B_k in (P - 64, P], and B_0 = 0, so it emits a digit only while that
-  bound keeps B_k - B_{k-1} within the cap.
+  has B_k in (P - 64, P], and B_0 = 0, as has a digit the start state
+  determines before any bit; so it emits a digit only while that bound
+  keeps B_k - B_{k-1} within the cap.
   Otherwise, and for a digit of 2^63 or more, it hands over to the walk,
   which replays the digits already emitted and goes on; every error
   therefore comes from the walk.  A cap below 64 hands over before the
@@ -47,6 +48,9 @@ one builder, :func:`_seeded_digits`: the digits of
 :func:`cfrenewal.farey.ly_orbit`, which are the digits of the same real with
 an integer return map composed into the state after each one.  Composing a
 map absorbs no bit, so the bounds on B_k and the cap rule hold for both.
+The walk owns the stream's configuration: its :class:`LazyReal` holds the
+cap, the start state and the return map, which :meth:`LazyReal.next_digit`
+composes after each digit, and the block engine reads all three from it.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import chain, repeat
 from math import exp, gcd, log
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Generator, Iterable, Iterator, Optional
 
 from .bits import BitSource
 
@@ -92,8 +96,9 @@ class MobiusState:
     normalizes only when ``a`` and ``c`` are both even, the one case in which
     the bits absorbed since the last emit can have left a common factor (see
     the module docstring), and :meth:`determined_digits` in the same case,
-    once after its last digit.  :meth:`absorb` and :meth:`refine` do not
-    normalize.
+    once after its last digit.  :meth:`compose`, in the same case, divides
+    out the power of 2 the entries share.  :meth:`absorb` and :meth:`refine`
+    do not normalize.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -183,15 +188,16 @@ class MobiusState:
         """Apply the integer map x -> (alpha*x + beta)/(gamma*x + delta) on top of the state.
 
         All signs are flipped when needed to keep the denominator positive
-        on [0, 1].  Like :meth:`emit` this normalizes only when ``a`` and
-        ``c`` are both even.  That finds every common factor while
-        ``|ad - bc|`` is a power of 2, as for a state started from the
-        identity that absorbs bits, emits digits (determinant -1) and
-        composes maps of determinant +-1 or +-2: a common factor g has g^2
-        dividing the determinant, so it is a power of 2 and ``a`` and ``c``
-        are even.  The one map composed in the package is the Lasota-Yorke
-        return x -> (1 - x)/(1 + x), ``(-1, 1, 1, 1)`` of determinant -2,
-        which both engines compose after each digit of
+        on [0, 1].  When ``a`` and ``c`` are both even, one shift divides
+        all four entries by the largest power of 2 they share; no gcd is
+        taken.  That removes every common factor while ``|ad - bc|`` is a
+        power of 2, as for a state started from the identity that absorbs
+        bits, emits digits (determinant -1) and composes maps of
+        determinant +-1 or +-2: a common factor g has g^2 dividing the
+        determinant, so it is a power of 2 and ``a`` and ``c`` are even.
+        The one map composed in the package is the Lasota-Yorke return
+        x -> (1 - x)/(1 + x), ``(-1, 1, 1, 1)`` of determinant -2, which
+        both engines compose after each digit of
         :func:`cfrenewal.farey.ly_orbit` (see the module docstring).
         """
         al, be, ga, de = m
@@ -199,9 +205,11 @@ class MobiusState:
         a, b, c, d = al * a + be * c, al * b + be * d, ga * a + de * c, ga * b + de * d
         if d < 0 or c + d < 0:
             a, b, c, d = -a, -b, -c, -d
-        self.a, self.b, self.c, self.d = a, b, c, d
         if not (a & 1 or c & 1):
-            self.normalize()
+            z = a | b | c | d
+            k = (z & -z).bit_length() - 1  # the trailing zeros the four entries share
+            a, b, c, d = a >> k, b >> k, c >> k, d >> k
+        self.a, self.b, self.c, self.d = a, b, c, d
 
     def determined_digits(
         self, return_map: Optional[tuple[int, int, int, int]] = None
@@ -265,26 +273,34 @@ class LazyReal:
     ``next_digit`` hands the unread bits of the source's block, at most as
     many as the cap still allows, to :meth:`MobiusState.refine` until the
     next digit is determined on the whole image interval, then composes the
-    Gauss step into the state.  The per-digit refinement cap, at least 1,
-    turns measure-zero pathologies into :class:`NonGenericPointError`.
-    ``bits_consumed`` counts every bit absorbed into the state, also when
-    ``next_digit`` raises.  The consumed bits themselves are not kept: the
-    state alone carries what the digits need.
+    Gauss step into the state, and after it ``return_map``, a row for
+    :meth:`MobiusState.compose`, if one is given; a digit that raises
+    composes nothing.  ``state`` is where the real starts, the identity by
+    default.  The per-digit refinement cap, at least 1, turns measure-zero
+    pathologies into :class:`NonGenericPointError`.  ``bits_consumed``
+    counts every bit absorbed into the state, also when ``next_digit``
+    raises.  The consumed bits themselves are not kept: the state alone
+    carries what the digits need.
+
+    A seeded stream's walk is the one owner of its cap, start and return
+    map: the block engine, :func:`_block_digits`, reads all three from it.
     """
 
-    __slots__ = ("source", "state", "refine_cap", "bits_consumed", "digits_emitted")
+    __slots__ = ("source", "state", "refine_cap", "return_map", "bits_consumed", "digits_emitted")
 
     def __init__(
         self,
         source: BitSource,
         refine_cap: int = DEFAULT_REFINE_CAP,
         state: Optional[MobiusState] = None,
+        return_map: Optional[tuple[int, int, int, int]] = None,
     ):
         if refine_cap < 1:
             raise ValueError(f"refine_cap must be >= 1, got {refine_cap}")
         self.source = source
         self.state = MobiusState.identity() if state is None else state
         self.refine_cap = refine_cap
+        self.return_map = return_map
         self.bits_consumed = 0
         self.digits_emitted = 0
 
@@ -315,39 +331,44 @@ class LazyReal:
         if m >= _DIGIT_LIMIT:
             raise DigitOverflowError(f"digit {m} exceeds the 64-bit checked range")
         st.emit(m)
+        if self.return_map is not None:
+            st.compose(self.return_map)
         self.digits_emitted += 1
         return m
 
 
-def _block_digits(
-    src: BitSource, cap: int, return_map: Optional[tuple[int, int, int, int]], replay: Callable[[], int]
-) -> Iterator[int]:
-    """The block engine: certified digits of the fresh source ``src``, ``return_map`` composed after each.
+def _block_digits(src: BitSource, real: LazyReal) -> Iterator[int]:
+    """The block engine: the certified digits of the walk ``real``, read from the fresh source ``src``.
 
-    Before it absorbs a block the engine checks that a digit emitted after
-    it would be certified within ``cap``: the block ends at bit P, and
-    ``lo`` is a lower bound on the bit count at which the last digit was
-    certified.  Where the check fails, or a digit reaches 2^63, it calls
-    ``replay`` once per digit it emitted and stops, so the caller goes on
-    with the walk.  The replayed digits passed the cap rule and are below
-    2^63, so the replay never raises and neither does this generator.
+    The engine takes its cap, its return map and a copy of its start state
+    from ``real``, which must not have run yet.  Before it absorbs a block
+    the engine checks that a digit emitted after it would be certified
+    within the cap: the block ends at bit P, and ``lo`` is a lower bound on
+    the bit count at which the last digit was certified.  Where the check
+    fails, or a digit reaches 2^63, it steps ``real`` once per digit it
+    emitted and stops, so the caller goes on with the walk.  The replayed
+    digits passed the cap rule and are below 2^63, so the replay never
+    raises and neither does this generator.
     """
-    st = MobiusState.identity()
+    s = real.state
+    st = MobiusState(s.a, s.b, s.c, s.d)
     lo = emitted = 0
+    start = -1  # a digit the start state determines before any bit has B_k = 0
     while True:
-        bits, count = src.pending()
-        if src.position + count - lo > cap:
-            break
-        st.absorb(bits, count)
-        src.skip(count)
-        found, big = yield from st.determined_digits(return_map)
+        found, big = yield from st.determined_digits(real.return_map)
         if found:
-            lo = src.position - count + 1
+            lo = start + 1
             emitted += found
         if big:
             break
+        bits, count = src.pending()
+        if src.position + count - lo > real.refine_cap:
+            break
+        start = src.position
+        st.absorb(bits, count)
+        src.skip(count)
     for _ in range(emitted):
-        replay()
+        real.next_digit()
 
 
 def _seeded_digits(
@@ -360,19 +381,11 @@ def _seeded_digits(
     for :meth:`MobiusState.compose`, or None for the continued-fraction
     digits themselves.
     """
-    real = LazyReal(BitSource(master_seed, stream_index), refine_cap)
-
-    # a callable iterator, not a generator: one that raised would be dead, and
-    # the stream would report itself ended after a NonGenericPointError
-    def walk() -> int:
-        a = real.next_digit()
-        if return_map is not None:
-            real.state.compose(return_map)
-        return a
-
-    # walk never returns None: its StreamExhausted ends the stream in DigitStream._pull
-    engine = _block_digits(BitSource(master_seed, stream_index), refine_cap, return_map, walk)
-    return chain(engine, iter(walk, None))
+    real = LazyReal(BitSource(master_seed, stream_index), refine_cap, return_map=return_map)
+    # the walk is a callable iterator, not a generator: one that raised would be
+    # dead, and the stream would report itself ended after a NonGenericPointError;
+    # next_digit never returns None: its StreamExhausted ends the stream in DigitStream._pull
+    return chain(_block_digits(BitSource(master_seed, stream_index), real), iter(real.next_digit, None))
 
 
 class DigitStream:

@@ -74,6 +74,14 @@ def test_horizons_from_2_pow_53_exit_2(capsys):
     assert "below 2^63" in capsys.readouterr().err
 
 
+def test_digit_past_the_checked_range_exits_2(capsys):
+    # 1/(2^64 + 1) has the digit 2^64 + 1: one error line, no traceback
+    code, _ = run_cli("expand", "--rational", f"1/{2**64 + 1}", "--count", "3")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "64-bit checked range" in err and err.count("\n") == 1
+
+
 def test_unknown_density_exits_2():
     # a power exponent outside (0, 1] names no density either
     for density in ("bogus", "power:0", "power:1.5", "power:nan"):

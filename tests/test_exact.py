@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 
 import pytest
@@ -208,17 +208,15 @@ def _caps_and_return_maps(caps: list[int]) -> list:
     return [pytest.param(c, None, id=str(c)) for c in caps] + [pytest.param(c, _LY_RETURN, id=f"{c}-ly") for c in caps]
 
 
-def _walk_stream(source: BitSource, cap: int, return_map=None) -> DigitStream:
-    """The certified digits of ``source`` by the bit walk alone, ``return_map`` composed after each."""
-    real = LazyReal(source, cap)
+def _walk_stream(source: BitSource, cap: int, return_map=None, state=None) -> DigitStream:
+    """The certified digits of ``source`` by the bit walk alone from ``state``, ``return_map`` composed after each."""
+    return DigitStream(iter(LazyReal(source, cap, state, return_map).next_digit, None))
 
-    def step() -> int:
-        a = real.next_digit()
-        if return_map is not None:
-            real.state.compose(return_map)
-        return a
 
-    return DigitStream(iter(step, None))
+def _engine_stream(source: BitSource, fresh: BitSource, cap: int, return_map=None, state=None) -> DigitStream:
+    """The block engine on ``fresh``, configured by the walk on ``source``, then that walk, as ``_seeded_digits`` builds them."""
+    real = LazyReal(source, cap, state, return_map)
+    return DigitStream(chain(exact._block_digits(fresh, real), iter(real.next_digit, None)))
 
 
 def _queries(stream: DigitStream, count: int) -> list:
@@ -329,6 +327,40 @@ def test_block_engine_matches_the_walk_on_long_streams():
             want = list(islice(_walk_stream(BitSource(25, t), 512, return_map), 5000))
             assert len(want) == 5000
             assert list(islice(seeded(25, t, 512), 5000)) == want
+
+
+@pytest.mark.parametrize("start", [(1, 0, -1, 2), (2, 0, -1, 3)], ids=["R=1", "R=1/2"])
+@pytest.mark.parametrize("cap, return_map", _caps_and_return_maps([12, 64, 512]))
+def test_block_engine_starts_from_the_walks_state(start, cap, return_map):
+    # the start laws R = 1 and R = 1/2, given to the walk alone, reach the engine too
+    for t in range(40):
+        want = _queries(_walk_stream(BitSource(23, t), cap, return_map, MobiusState(*start)), 300)
+        got = _queries(_engine_stream(BitSource(23, t), BitSource(23, t), cap, return_map, MobiusState(*start)), 300)
+        assert got == want
+
+
+# 59 zero bits, then bits after which x = 1/(3 + y/2) has its second digit, near 2^61, certified at bit 128
+_LATE_SECOND_DIGIT = 0x109EDB95F2C787DDFB
+
+
+class LateSecondDigitSource(BitSource):
+    """Serves the 128 bits of ``_LATE_SECOND_DIGIT``, first bit highest, then zeros."""
+
+    def pending(self):
+        _, count = super().pending()
+        end = self.position + count
+        return (_LATE_SECOND_DIGIT >> 128 - end if end <= 128 else 0) & ((1 << count) - 1), count
+
+
+@pytest.mark.parametrize("cap", [127, 128, 512])
+def test_block_engine_counts_digits_the_start_determines_before_any_bit(cap):
+    # the start y -> 2/(6 + y) determines the digit 3 with no bit, so B_1 = 0, and
+    # the next digit, certified at bit 128, is one bit past a cap of 127
+    start = (0, 2, 1, 6)
+    source = partial(LateSecondDigitSource, 0, 0)
+    want = _queries(_walk_stream(source(), cap, None, MobiusState(*start)), 4)
+    assert _queries(_engine_stream(source(), source(), cap, None, MobiusState(*start)), 4) == want
+    assert want[0] == 3 and isinstance(want[1], tuple) == (cap == 127)
 
 
 _BIG = 1 << 64

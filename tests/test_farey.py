@@ -200,17 +200,16 @@ def test_ly_spent_time_deterministic_replay():
 
 
 def test_ly_orbit_equals_full_gcd_walk():
-    # the parity-gated normalization of MobiusState.emit and compose leaves the
-    # same states as a full gcd after every digit and return map
+    # the parity-gated normalization of MobiusState.emit and the power-of-2 shift
+    # of compose leave the same states as a full gcd after every digit and return map
     factors = 0  # return maps after which the full gcd was above 1
     for stream in range(10):
         gaps = iter(ly_orbit(31, stream))
-        real = LazyReal(BitSource(31, stream))
+        real = LazyReal(BitSource(31, stream), return_map=_LY_RETURN)
         ref = LazyReal(BitSource(31, stream))
         al, be, ga, de = _LY_RETURN
         for _ in range(2000):
             assert real.next_digit() == ref.next_digit() == next(gaps)
-            real.state.compose(_LY_RETURN)
             st = ref.state
             a, b, c, d = st.a, st.b, st.c, st.d
             a, b, c, d = al * a + be * c, al * b + be * d, ga * a + de * c, ga * b + de * d
