@@ -130,7 +130,11 @@ class _ReprTable:
 
     def __init__(self, col: np.ndarray):
         self.bits = col.view(np.uint64)
-        self.distinct = np.unique(self.bits)
+        distinct = np.sort(self.bits)
+        # repeats dropped by hand, because numpy.unique imports numpy.ma on numpy 2.x
+        keep = np.ones(distinct.size, dtype=bool)
+        keep[1:] = distinct[1:] != distinct[:-1]
+        self.distinct = distinct[keep]
         self.table = np.array([repr(v) for v in self.distinct.view(np.float64).tolist()], dtype=np.bytes_)
 
     def __getitem__(self, rows: slice) -> np.ndarray:

@@ -250,7 +250,7 @@ def run_weak_law(cfg: ExperimentConfig) -> WeakLawReport:
     return WeakLawReport(
         n=n,
         trials=cfg.trials,
-        median=float(np.median(ratios)),
+        median=EmpiricalDistribution.from_samples(ratios).median(),
         target=LOG2_INV,
         within=within,
     )
@@ -291,7 +291,7 @@ def run_stable_stability(cfg: ExperimentConfig) -> StableStabilityReport:
         k2=k2,
         trials=cfg.trials,
         ks=ks_two_sample(e1, e2),
-        percentile_99=(float(np.percentile(y1, 99)), float(np.percentile(y2, 99))),
+        percentile_99=(e1.percentile(99), e2.percentile(99)),
         samples=(e1, e2),
     )
 

@@ -37,6 +37,26 @@ class EmpiricalDistribution:
             return float(out)
         return out
 
+    def percentile(self, q: float) -> float:
+        """The q-th percentile, 0 <= q <= 100, by numpy's default linear rule, bit for bit.
+
+        The sorted values are kept, so no ``numpy.percentile`` call is needed;
+        on numpy 2.x that call imports ``numpy.ma``.
+        """
+        n = self.count
+        vi = (n - 1) * (q / 100)
+        lo = min(int(vi), n - 1)
+        a, b = float(self.values[lo]), float(self.values[min(lo + 1, n - 1)])
+        t = vi - lo
+        # numpy's lerp: interpolate from the nearer end
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+    def median(self) -> float:
+        """The middle value, or the mean of the two middle values, as ``numpy.median`` gives it."""
+        n = self.count
+        hi = float(self.values[n // 2])
+        return hi if n % 2 else (float(self.values[n // 2 - 1]) + hi) / 2
+
 
 def ks_statistic(samples: EmpiricalDistribution, reference: Callable[[np.ndarray], np.ndarray]) -> float:
     """sup_t max(|F_emp(t-) - F(t)|, |F_emp(t) - F(t)|) over the sample points."""

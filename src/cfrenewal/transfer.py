@@ -86,7 +86,11 @@ def farey_mesh(size: int = MESH_SIZE, probes: Sequence[float] = DEFAULT_PROBES) 
     n_geo = size - n_right - n_mid - 2
     for _ in range(4):
         geo = np.geomspace(HEAD_NODE, crossover, n_geo + 1)
-        mesh = np.unique(np.concatenate((fixed, geo)))
+        mesh = np.sort(np.concatenate((fixed, geo)))
+        # repeats dropped by hand, because numpy.unique imports numpy.ma on numpy 2.x
+        keep = np.ones(mesh.size, dtype=bool)
+        keep[1:] = mesh[1:] != mesh[:-1]
+        mesh = mesh[keep]
         if len(mesh) == size:
             return mesh
         n_geo -= len(mesh) - size
@@ -126,18 +130,36 @@ def exact_iterate(f: Density, n: int, x: float) -> float:
     Each expansion step replaces a term w * g(y) of the sum by
     w/(1+y) * g(y/(1+y)) + w*y/(1+y) * g(1/(1+y)), so after n steps the value
     is an exact weighted sum of f over 2^n branch images of x.
+
+    The sum is expanded in place, in three arrays allocated once: the branch
+    points and the weights, 2^n doubles each (16 MB each at n = 20), and the
+    denominators, 2^(n-1) doubles.  Level k writes the new branch terms into
+    the upper halves while the lower halves still hold level k-1, then
+    divides the lower halves in place, so every term gets the operations of
+    ``concatenate((a/d, 1/d))`` and ``concatenate((w/d, w*a/d))`` in the same
+    order.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > 24:
         raise ValueError("branch-sum expansion limited to n <= 24")
-    args = np.asarray([x], dtype=np.float64)
-    weights = np.asarray([1.0], dtype=np.float64)
-    for _ in range(n):
-        denom = 1.0 + args
-        new_args = np.concatenate((args / denom, 1.0 / denom))
-        new_weights = np.concatenate((weights / denom, weights * args / denom))
-        args, weights = new_args, new_weights
+    # written so that NaN fails it
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("x must lie in [0, 1]")
+    args = np.empty(1 << n)
+    weights = np.empty(1 << n)
+    denom = np.empty(1 << n >> 1)
+    args[0] = x
+    weights[0] = 1.0
+    for k in range(n):
+        size = 1 << k
+        a, w, d = args[:size], weights[:size], denom[:size]
+        np.add(1.0, a, out=d)
+        np.divide(1.0, d, out=args[size : 2 * size])
+        upper = np.multiply(w, a, out=weights[size : 2 * size])
+        upper /= d
+        a /= d
+        w /= d
     return float(np.dot(weights, _eval(f, args)))
 
 

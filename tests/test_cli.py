@@ -452,6 +452,48 @@ def test_subcommands_load_only_the_modules_they_run(argv, absent, present):
     assert [m for m in present if m in modules] == list(present)
 
 
+# every subcommand in one fresh interpreter; prints the exit codes and whether numpy.ma was loaded
+_NUMPY_MA_PROBE = """
+import contextlib, io, json, sys
+from cfrenewal import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_no_subcommand_loads_numpy_ma():
+    # on numpy 2.x np.unique, np.percentile and np.median import numpy.ma, which costs every run
+    # start-up time and memory; on a numpy that does not, this passes whatever src/ calls
+    runs = [
+        ["expand", "--seed", "3", "--count", "30"],
+        ["simulate", "--trials", "40", "--n", "100", "--n", "300"],
+        ["simulate", "--source", "exact", "--trials", "4", "--n", "60"],
+        ["tail", "--trials", "40", "--n", "200"],
+        ["operator", "--density", "power:0.5", "--n", "1", "--n", "8"],
+        ["classic", "--which", "khinchin", "--n", "10", "--n", "100"],
+        ["classic", "--which", "diamond-vaaler", "--n", "10", "--n", "100"],
+        ["classic", "--which", "weak-law", "--trials", "40", "--n", "100"],
+        ["classic", "--which", "stable", "--trials", "40", "--n", "10", "--n", "50"],
+        ["classic", "--which", "ly", "--trials", "40", "--n", "100"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * len(runs), False]
+
+
+def test_repr_table_distinct_bits_equal_np_unique():
+    # _ReprTable drops repeats from the sorted bits by hand, to keep np.unique (and numpy.ma) out
+    rng = np.random.default_rng(27)
+    cases = [np.array([]), np.array([0.5]), np.array(_SPECIAL_FLOATS * 3), rng.choice(_SPECIAL_FLOATS, 500)]
+    cases += [rng.integers(0, k, 2000, dtype=np.uint64).view(np.float64) for k in (1, 2, 7, 2**64 - 1)]
+    for col in cases:
+        table = cli._ReprTable(col)
+        assert table.distinct.dtype == np.uint64
+        assert table.distinct.tolist() == np.unique(col.view(np.uint64)).tolist()
+
+
 def test_nongeneric_point_exits_3():
     # a refinement cap far below what random streams need trips the typed
     # error, which the CLI maps to exit code 3

@@ -77,3 +77,24 @@ def test_tail_report_fields():
 
 def test_uniform_cdf_clamped():
     assert uniform_cdf(np.asarray([-1.0, 0.5, 2.0])).tolist() == [0.0, 0.5, 1.0]
+
+
+def _seeded_samples():
+    rng = np.random.default_rng(27)
+    for size in (1, 2, 3, 5000):
+        yield rng.standard_normal(size)
+        # ties: few distinct values
+        yield rng.integers(-3, 4, size).astype(np.float64)
+        yield rng.standard_cauchy(size)
+
+
+@pytest.mark.parametrize("q", [0, 1, 50, 99, 100])
+def test_percentile_equals_numpy_bit_for_bit(q):
+    for x in _seeded_samples():
+        assert EmpiricalDistribution.from_samples(x).percentile(q) == float(np.percentile(x, q)), (len(x), q)
+
+
+def test_median_equals_numpy_bit_for_bit():
+    for x in _seeded_samples():
+        assert EmpiricalDistribution.from_samples(x).median() == float(np.median(x)), len(x)
+

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from math import log
 
 import numpy as np
@@ -65,6 +66,41 @@ def test_exact_iterate_base_cases():
     assert exact_iterate(ID, 1, 1.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         exact_iterate(ID, 25, 0.5)
+
+
+def _concatenated_expansion(f, n, x):
+    # the oracle as it was first written: one concatenated pair of arrays per level
+    args = np.asarray([x], dtype=np.float64)
+    weights = np.asarray([1.0], dtype=np.float64)
+    for _ in range(n):
+        denom = 1.0 + args
+        args, weights = (np.concatenate((args / denom, 1.0 / denom)),
+                         np.concatenate((weights / denom, weights * args / denom)))
+    return float(np.dot(weights, f(args)))
+
+
+@pytest.mark.parametrize("f", [ONE, ID, ClosedFormDensity.power(0.5)], ids=["one", "id", "power0.5"])
+def test_in_place_oracle_equals_the_concatenated_expansion(f):
+    for n in range(21):
+        for x in (0.6, 0.75, 0.9, 1.0):
+            assert exact_iterate(f, n, x) == _concatenated_expansion(f, n, x), (n, x)
+
+
+def test_oracle_peak_memory_is_two_and_a_half_arrays():
+    # points and weights of 2^16 doubles each, and 2^15 denominators; the concatenated expansion peaks at 4.5 arrays
+    tracemalloc.start()
+    try:
+        exact_iterate(ID, 16, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 2**16
+
+
+@pytest.mark.parametrize("x", [-1.0, -1e-300, 1.0 + 2**-52, 1.5, float("nan"), float("inf")])
+def test_oracle_rejects_points_outside_the_unit_interval(x):
+    with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+        exact_iterate(ID, 3, x)
 
 
 def test_grid_vs_oracle_for_all_small_n():
