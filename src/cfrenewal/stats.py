@@ -43,6 +43,9 @@ class EmpiricalDistribution:
         The sorted values are kept, so no ``numpy.percentile`` call is needed;
         on numpy 2.x that call imports ``numpy.ma``.
         """
+        # written so that NaN fails it, as numpy.percentile rejects it
+        if not 0 <= q <= 100:
+            raise ValueError("q must lie in [0, 100]")
         n = self.count
         vi = (n - 1) * (q / 100)
         lo = min(int(vi), n - 1)

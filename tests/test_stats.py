@@ -98,3 +98,11 @@ def test_median_equals_numpy_bit_for_bit():
     for x in _seeded_samples():
         assert EmpiricalDistribution.from_samples(x).median() == float(np.median(x)), len(x)
 
+
+@pytest.mark.parametrize("q", [-1e-9, 100.5, float("nan")])
+def test_percentile_outside_0_to_100_is_rejected(q):
+    # numpy.percentile rejects these too; without the check -1e-9 would extrapolate below the minimum
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 100\]"):
+        EmpiricalDistribution.from_samples([0.0, 1.0, 2.0]).percentile(q)
+    with pytest.raises(ValueError):
+        np.percentile([0.0, 1.0, 2.0], q)
